@@ -994,9 +994,31 @@ let timing_benches () =
     Test.make ~name:"e9 concolic: one instrumented oSIP-function run"
       (Staged.stage (run_prog prog true (Dart_util.Prng.create 7)))
   in
+  (* Arithmetic layer under the solver and the symbolic shadow: each
+     operation once on solver-sized operands (a small coefficient and a
+     32-bit constant, the native path) and once with a 2^70 operand (the
+     limb path), so a slow fallback stays visible next to the fast one. *)
+  let arith_tests =
+    let open Zarith_lite in
+    let coeff = Zint.of_int 1_000_003 and word = Zint.of_int (-2_147_483_647) in
+    let big = Zint.add (Zint.pow Zint.two 70) (Zint.of_int 12_345) in
+    let op name f a b =
+      Test.make ~name:(Printf.sprintf "arith %s" name) (Staged.stage (fun () -> f a b))
+    in
+    let both name f =
+      [ op (name ^ ", 32-bit operands") f word coeff; op (name ^ ", 2^70 operand") f big coeff ]
+    in
+    let q = Qnum.of_ints in
+    List.concat
+      [ both "zint add" Zint.add; both "zint mul" Zint.mul; both "zint fdiv" Zint.fdiv;
+        both "zint gcd" Zint.gcd;
+        [ op "qnum add, solver-sized fractions" Qnum.add (q 7 12) (q (-5) 18);
+          op "qnum add, 2^70 numerator" Qnum.add (Qnum.make big (Zint.of_int 18)) (q 7 12) ] ]
+  in
   let tests =
     [ parse_test; concrete_test; concolic_test; ns_run_test; solver_fast_test;
       solver_simplex_test; osip_test ]
+    @ arith_tests
   in
   let quota = if !quick then 0.2 else 0.5 in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None () in

@@ -39,10 +39,16 @@ let to_bool v = v <> 0
 
 let to_zint = Zarith_lite.Zint.of_int
 
+(* [norm] already truncates any native int (two's complement makes the
+   low 32 bits the residue mod 2^32), so only values beyond the native
+   range take the bignum remainder. *)
 let of_zint_trunc z =
   let open Zarith_lite in
-  let m = Zint.of_int modulus in
-  let r = Zint.rem z m in
-  (* [Zint.rem] truncates toward zero; fold into [0, 2^32) first. *)
-  let r = if Zint.sign r < 0 then Zint.add r m else r in
-  norm (Zint.to_int r)
+  match Zint.to_int_opt z with
+  | Some v -> norm v
+  | None ->
+    let m = Zint.of_int modulus in
+    let r = Zint.rem z m in
+    (* [Zint.rem] truncates toward zero; fold into [0, 2^32) first. *)
+    let r = if Zint.sign r < 0 then Zint.add r m else r in
+    norm (Zint.to_int r)

@@ -1,17 +1,31 @@
-(* Sign-magnitude bignums in base 2^15 (little-endian limb array).
+(* Integers held natively while they fit, as base-2^15 limbs beyond.
 
-   The base is small enough that a limb product (30 bits) plus carries
-   never approaches the native-int range, so schoolbook multiplication
-   needs no special carry handling. Invariants: [sign] is -1, 0 or 1;
-   [sign = 0] iff [mag] is empty; the top limb of [mag] is non-zero. *)
+   A value [v] with [|v| <= small_max = 2^61 - 1] is [S v]; anything
+   larger is [B] in sign-magnitude form. The representation is
+   canonical: a value is [S] exactly when it fits the small range, so
+   structural equality coincides with numeric equality. The range is
+   symmetric and one bit short of the native one, so [neg] of an [S]
+   and the sum or difference of two [S] never overflow a native int.
+
+   Limb magnitudes are little-endian arrays in base 2^15. The base is
+   small enough that a limb product (30 bits) plus carries never
+   approaches the native-int range, so schoolbook multiplication needs
+   no special carry handling. Invariants of [B]: [sign] is -1 or 1; the
+   top limb of [mag] is non-zero; the magnitude exceeds [small_max].
+   Operations on two [S] operands run on native ints; every other case
+   converts to limbs, runs the magnitude routines and normalises the
+   result back to [S] when it fits. *)
 
 let base_bits = 15
 let base = 1 lsl base_bits
 let base_mask = base - 1
 
-type t = { sign : int; mag : int array }
+type t =
+  | S of int
+  | B of { sign : int; mag : int array }
 
-let zero = { sign = 0; mag = [||] }
+let small_max = max_int lsr 1
+let zero = S 0
 
 (* ---- magnitude helpers -------------------------------------------------- *)
 
@@ -24,14 +38,17 @@ let trim m =
   done;
   if !n = Array.length m then m else Array.sub m 0 !n
 
+(* Limbs of [v] read as an unsigned number, so [min_int] (whose
+   negation overflows back to itself) yields the magnitude 2^62. *)
 let mag_of_abs_int v =
-  (* [v] must be non-negative. *)
-  if v = 0 then [||]
-  else begin
-    let rec limbs acc v = if v = 0 then acc else limbs (v land base_mask :: acc) (v lsr base_bits) in
-    let l = List.rev (limbs [] v) in
-    Array.of_list l
-  end
+  let rec len n v = if v = 0 then n else len (n + 1) (v lsr base_bits) in
+  let m = Array.make (len 0 v) 0 in
+  let v = ref v in
+  for i = 0 to Array.length m - 1 do
+    m.(i) <- !v land base_mask;
+    v := !v lsr base_bits
+  done;
+  m
 
 let cmp_mag a b =
   let la = Array.length a and lb = Array.length b in
@@ -153,78 +170,165 @@ let divmod_mag a b =
 
 (* ---- signed interface ---------------------------------------------------- *)
 
-let make sign mag = if mag_is_zero mag then zero else { sign; mag }
-
 let of_int v =
-  if v = 0 then zero
-  else if v > 0 then { sign = 1; mag = mag_of_abs_int v }
-  else if v = min_int then
-    (* [-min_int] overflows; build from halves. *)
-    let half = { sign = -1; mag = mag_of_abs_int (-(min_int / 2)) } in
-    let twice = { sign = -1; mag = add_mag half.mag half.mag } in
-    twice
-  else { sign = -1; mag = mag_of_abs_int (-v) }
+  if v >= -small_max && v <= small_max then S v
+  else if v > 0 then B { sign = 1; mag = mag_of_abs_int v }
+  else B { sign = -1; mag = mag_of_abs_int (-v) }
 
-let one = of_int 1
-let two = of_int 2
-let minus_one = of_int (-1)
+(* Canonical value of a sign and a trimmed magnitude. Up to four limbs
+   is at most 60 bits; a fifth limb of 0 or 1 keeps it within 61. *)
+let make sign mag =
+  let l = Array.length mag in
+  if l = 0 then zero
+  else if l < 5 || (l = 5 && mag.(4) <= 1) then begin
+    let v = ref 0 in
+    for i = l - 1 downto 0 do
+      v := (!v lsl base_bits) lor mag.(i)
+    done;
+    S (if sign < 0 then - !v else !v)
+  end
+  else B { sign; mag }
 
-let sign z = z.sign
-let is_zero z = z.sign = 0
-let neg z = make (-z.sign) z.mag
-let abs z = make (abs z.sign) z.mag
+(* Sign and magnitude of any value, for the limb routines. *)
+let limbs = function
+  | S v -> (Int.compare v 0, mag_of_abs_int (Stdlib.abs v))
+  | B { sign; mag } -> (sign, mag)
 
+let one = S 1
+let two = S 2
+let minus_one = S (-1)
+
+let sign = function
+  | S v -> Int.compare v 0
+  | B { sign; _ } -> sign
+
+let is_zero = function
+  | S 0 -> true
+  | _ -> false
+
+let is_one = function
+  | S 1 -> true
+  | _ -> false
+
+let neg = function
+  | S v -> S (-v)
+  | B { sign; mag } -> B { sign = -sign; mag }
+
+let abs = function
+  | S v -> S (Stdlib.abs v)
+  | B { mag; _ } -> B { sign = 1; mag }
+
+(* Every [B] lies beyond every [S], on the side of its sign. *)
 let compare a b =
-  if a.sign <> b.sign then compare a.sign b.sign
-  else if a.sign >= 0 then cmp_mag a.mag b.mag
-  else cmp_mag b.mag a.mag
+  match (a, b) with
+  | S x, S y -> Int.compare x y
+  | S _, B { sign; _ } -> -sign
+  | B { sign; _ }, S _ -> sign
+  | B a, B b ->
+    if a.sign <> b.sign then Int.compare a.sign b.sign
+    else if a.sign > 0 then cmp_mag a.mag b.mag
+    else cmp_mag b.mag a.mag
 
-let equal a b = compare a b = 0
-let is_one z = equal z one
+let equal a b =
+  match (a, b) with
+  | S x, S y -> x = y
+  | B a, B b -> a.sign = b.sign && cmp_mag a.mag b.mag = 0
+  | S _, B _ | B _, S _ -> false
+
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 
-let hash z =
-  Array.fold_left (fun acc d -> (acc * 31) + d) (z.sign + 7) z.mag
+(* Folds the base-2^15 limbs, low limb first, seeded with the sign.
+   For [S] the limbs are peeled off natively, giving the same value the
+   limb array would. *)
+let hash = function
+  | S v ->
+    let rec fold acc m =
+      if m = 0 then acc else fold ((acc * 31) + (m land base_mask)) (m lsr base_bits)
+    in
+    fold (Int.compare v 0 + 7) (Stdlib.abs v)
+  | B { sign; mag } -> Array.fold_left (fun acc d -> (acc * 31) + d) (sign + 7) mag
 
 let add a b =
-  if a.sign = 0 then b
-  else if b.sign = 0 then a
-  else if a.sign = b.sign then make a.sign (add_mag a.mag b.mag)
-  else begin
-    let c = cmp_mag a.mag b.mag in
-    if c = 0 then zero
-    else if c > 0 then make a.sign (sub_mag a.mag b.mag)
-    else make b.sign (sub_mag b.mag a.mag)
-  end
+  match (a, b) with
+  | S x, S y -> of_int (x + y)
+  | _ ->
+    let sa, ma = limbs a and sb, mb = limbs b in
+    if sa = 0 then b
+    else if sb = 0 then a
+    else if sa = sb then make sa (add_mag ma mb)
+    else begin
+      let c = cmp_mag ma mb in
+      if c = 0 then zero
+      else if c > 0 then make sa (sub_mag ma mb)
+      else make sb (sub_mag mb ma)
+    end
 
-let sub a b = add a (neg b)
+let sub a b =
+  match (a, b) with
+  | S x, S y -> of_int (x - y)
+  | _ -> add a (neg b)
+
 let succ a = add a one
 let pred a = sub a one
 
+(* Two [S] factors multiply natively when the product provably stays
+   small: both below 2^30, or failing that an exact division bound. *)
 let mul a b =
-  if a.sign = 0 || b.sign = 0 then zero
-  else make (a.sign * b.sign) (mul_mag a.mag b.mag)
+  match (a, b) with
+  | S x, S y
+    when let ux = Stdlib.abs x and uy = Stdlib.abs y in
+      ux lor uy < 1 lsl 30 || ux = 0 || uy <= small_max / ux ->
+    S (x * y)
+  | _ ->
+    let sa, ma = limbs a and sb, mb = limbs b in
+    if sa = 0 || sb = 0 then zero else make (sa * sb) (mul_mag ma mb)
 
 let div_rem a b =
-  if b.sign = 0 then raise Division_by_zero;
-  let qm, rm = divmod_mag a.mag b.mag in
-  let q = make (a.sign * b.sign) qm in
-  let r = make a.sign rm in
-  (q, r)
+  match (a, b) with
+  | _, S 0 -> raise Division_by_zero
+  | S x, S y -> (S (x / y), S (x mod y))
+  | _ ->
+    let sa, ma = limbs a and sb, mb = limbs b in
+    let qm, rm = divmod_mag ma mb in
+    (make (sa * sb) qm, make sa rm)
 
-let div a b = fst (div_rem a b)
-let rem a b = snd (div_rem a b)
+let div a b =
+  match (a, b) with
+  | S x, S y when y <> 0 -> S (x / y)
+  | _ -> fst (div_rem a b)
 
+let rem a b =
+  match (a, b) with
+  | S x, S y when y <> 0 -> S (x mod y)
+  | _ -> snd (div_rem a b)
+
+(* On two [S] operands a non-zero remainder means [|y| >= 2], so the
+   adjusted quotient stays within the small range. *)
 let fdiv a b =
-  let q, r = div_rem a b in
-  if is_zero r || sign r = sign b then q else pred q
+  match (a, b) with
+  | S x, S y when y <> 0 ->
+    let q = x / y and r = x mod y in
+    S (if r <> 0 && r lxor y < 0 then q - 1 else q)
+  | _ ->
+    let q, r = div_rem a b in
+    if is_zero r || sign r = sign b then q else pred q
 
 let cdiv a b =
-  let q, r = div_rem a b in
-  if is_zero r || sign r <> sign b then q else succ q
+  match (a, b) with
+  | S x, S y when y <> 0 ->
+    let q = x / y and r = x mod y in
+    S (if r <> 0 && r lxor y >= 0 then q + 1 else q)
+  | _ ->
+    let q, r = div_rem a b in
+    if is_zero r || sign r <> sign b then q else succ q
 
-let rec gcd a b = if is_zero b then abs a else gcd b (rem a b)
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+
+let rec gcd a b =
+  match (a, b) with
+  | S x, S y -> S (gcd_int (Stdlib.abs x) (Stdlib.abs y))
+  | _ -> if is_zero b then abs a else gcd b (rem a b)
 
 let lcm a b =
   if is_zero a || is_zero b then zero
@@ -242,21 +346,22 @@ let pow b n =
   in
   go one b n
 
-let fits_int z =
-  (* Conservative: up to 4 limbs is at most 60 bits, always fits. *)
-  let l = Array.length z.mag in
-  if l <= 4 then true
-  else begin
-    let lo = of_int Stdlib.min_int and hi = of_int Stdlib.max_int in
-    compare lo z <= 0 && compare z hi <= 0
-  end
+let int_lo = of_int Stdlib.min_int
+let int_hi = of_int Stdlib.max_int
 
-let to_int_opt z =
-  if not (fits_int z) then None
-  else begin
-    let v = Array.fold_right (fun d acc -> (acc lsl base_bits) lor d) z.mag 0 in
-    Some (if z.sign < 0 then -v else v)
-  end
+let fits_int = function
+  | S _ -> true
+  | B _ as z -> compare int_lo z <= 0 && compare z int_hi <= 0
+
+let to_int_opt = function
+  | S v -> Some v
+  | B { sign; mag } as z ->
+    if not (fits_int z) then None
+    else begin
+      (* 2^62 wraps to [min_int], whose negation is itself. *)
+      let v = Array.fold_right (fun d acc -> (acc lsl base_bits) lor d) mag 0 in
+      Some (if sign < 0 then -v else v)
+    end
 
 let to_int z =
   match to_int_opt z with
@@ -282,9 +387,9 @@ let of_string s =
   done;
   if neg_sign then neg !acc else !acc
 
-let to_string z =
-  if is_zero z then "0"
-  else begin
+let to_string = function
+  | S v -> string_of_int v
+  | B { sign = z_sign; _ } as z ->
     let chunk = of_int 10000 in
     let buf = Buffer.create 16 in
     let rec go m acc =
@@ -295,13 +400,12 @@ let to_string z =
       end
     in
     let chunks = go (abs z) [] in
-    if z.sign < 0 then Buffer.add_char buf '-';
+    if z_sign < 0 then Buffer.add_char buf '-';
     (match chunks with
      | [] -> assert false
      | first :: rest ->
        Buffer.add_string buf (string_of_int first);
        List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%04d" c)) rest);
     Buffer.contents buf
-  end
 
 let pp fmt z = Format.pp_print_string fmt (to_string z)

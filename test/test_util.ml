@@ -87,7 +87,21 @@ let test_word32_zint () =
     (Word32.of_zint_trunc (Zint.add (Zint.pow Zint.two 32) (Zint.of_int 5)));
   Alcotest.(check int) "2^31 wraps negative" Word32.min_value
     (Word32.of_zint_trunc (Zint.pow Zint.two 31));
-  Alcotest.(check int) "negative" (-5) (Word32.of_zint_trunc (Zint.of_int (-5)))
+  Alcotest.(check int) "negative" (-5) (Word32.of_zint_trunc (Zint.of_int (-5)));
+  Alcotest.(check int) "-2^31 - 1 wraps positive" Word32.max_value
+    (Word32.of_zint_trunc (Zint.of_int (Word32.min_value - 1)));
+  (* Native ints at the edges of the native range and bignums beyond it
+     must truncate to the same residue mod 2^32. *)
+  Alcotest.(check int) "max_int" (-1) (Word32.of_zint_trunc (Zint.of_int max_int));
+  Alcotest.(check int) "min_int" 0 (Word32.of_zint_trunc (Zint.of_int min_int));
+  Alcotest.(check int) "2^62 + 7" 7
+    (Word32.of_zint_trunc (Zint.add (Zint.pow Zint.two 62) (Zint.of_int 7)));
+  Alcotest.(check int) "-(2^62) - 7" (-7)
+    (Word32.of_zint_trunc (Zint.neg (Zint.add (Zint.pow Zint.two 62) (Zint.of_int 7))));
+  Alcotest.(check int) "2^100 + 2^31" Word32.min_value
+    (Word32.of_zint_trunc (Zint.add (Zint.pow Zint.two 100) (Zint.pow Zint.two 31)));
+  Alcotest.(check int) "-(2^70) - 3" (-3)
+    (Word32.of_zint_trunc (Zint.sub (Zint.neg (Zint.pow Zint.two 70)) (Zint.of_int 3)))
 
 (* The standard IEEE 802.3 check value plus the incremental-update law
    the checkpoint codec relies on (one checksum per record block). *)
@@ -122,7 +136,15 @@ let properties =
     prop "mul matches Int32" (QCheck2.Gen.pair word_gen word_gen) (fun (a, b) ->
         Word32.mul a b = Int32.to_int (Int32.mul (Int32.of_int a) (Int32.of_int b)));
     prop "add matches Int32" (QCheck2.Gen.pair word_gen word_gen) (fun (a, b) ->
-        Word32.add a b = Int32.to_int (Int32.add (Int32.of_int a) (Int32.of_int b))) ]
+        Word32.add a b = Int32.to_int (Int32.add (Int32.of_int a) (Int32.of_int b)));
+    (* Shifting by a multiple of 2^32 leaves the residue alone, whether
+       the shifted value stays native or needs limbs. *)
+    prop "of_zint_trunc ignores multiples of 2^32"
+      (QCheck2.Gen.pair QCheck2.Gen.int (QCheck2.Gen.int_range (-2000) 2000))
+      (fun (v, k) ->
+        let open Zarith_lite in
+        let shift = Zint.mul (Zint.of_int k) (Zint.pow Zint.two 40) in
+        Word32.of_zint_trunc (Zint.add (Zint.of_int v) shift) = Word32.norm v) ]
 
 let suite =
   [ Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
