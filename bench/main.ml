@@ -28,31 +28,18 @@ let row ~id ~desc ~paper ~measured =
   collected_rows := (id, desc, paper, measured) :: !collected_rows;
   Printf.printf "%-22s %-48s | paper: %-32s | measured: %s\n" id desc paper measured
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json file =
   let rows = List.rev !collected_rows in
-  let oc = open_out file in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (id, desc, paper, measured) ->
-      Printf.fprintf oc "  {\"id\": \"%s\", \"desc\": \"%s\", \"paper\": \"%s\", \"measured\": \"%s\"}%s\n"
-        (json_escape id) (json_escape desc) (json_escape paper) (json_escape measured)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc
+  let last = List.length rows - 1 and str = Dart_util.Persist.Json.string in
+  Dart_util.Persist.write_atomic ~path:file
+    (Printf.sprintf "[\n%s]\n"
+       (String.concat ""
+          (List.mapi
+             (fun i (id, desc, paper, measured) ->
+               Printf.sprintf "  {\"id\": %s, \"desc\": %s, \"paper\": %s, \"measured\": %s}%s\n"
+                 (str id) (str desc) (str paper) (str measured)
+                 (if i = last then "" else ","))
+             rows)))
 
 let time_it f =
   let t0 = Unix.gettimeofday () in

@@ -19,13 +19,6 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let strategy_conv =
   let parse = function
     | "dfs" -> Ok Dart.Strategy.Dfs
@@ -343,7 +336,7 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
     time_budget solver_timeout checkpoint checkpoint_every resume faultsim faultsim_seed
     trace status metrics_flag show_interface show_driver dump_ram coverage =
   try
-    let src = read_file file in
+    let src = Dart_util.Persist.read_file file in
     let ast = Minic.Parser.parse_program ~file src in
     if show_interface then begin
       let typed = Minic.Typecheck.check ast in
@@ -626,7 +619,7 @@ let print_timeline summary =
 let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out html_out
     timeline =
   try
-    let src = read_file file in
+    let src = Dart_util.Persist.read_file file in
     let ast = Minic.Parser.parse_program ~file src in
     let prog = Dart.Driver.prepare ~toplevel ~depth ast in
     let events, covered =
@@ -668,19 +661,13 @@ let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out htm
       print_string (Dart.Cover_report.annotate t ~source:src);
     Option.iter
       (fun path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Dart.Cover_report.to_lcov t));
+        Dart_util.Persist.write_atomic ~path (Dart.Cover_report.to_lcov t);
         Printf.eprintf "dartc cover: wrote %s\n" path)
       lcov_out;
     Option.iter
       (fun path ->
         let title = Printf.sprintf "%s \u{2014} %s" (Filename.basename file) toplevel in
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Dart.Cover_report.to_html t ~source:src ~title));
+        Dart_util.Persist.write_atomic ~path (Dart.Cover_report.to_html t ~source:src ~title);
         Printf.eprintf "dartc cover: wrote %s\n" path)
       html_out;
     if timeline then print_timeline (Dart.Telemetry.summarize events);
@@ -868,37 +855,22 @@ let validate_campaign ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_r
 
 (* Report outputs are observability, not the verdict: a full disk or a
    read-only directory (or an injected io_error under --chaos) must not
-   turn a finished campaign into a crash. The write is atomic
-   (tmp-then-rename, Fun.protect-guarded) and any Sys_error degrades to
-   a warning on stderr. *)
-let write_file_with_note ?(fault = Dart_util.Faultsim.off) ~what path content =
+   turn a finished campaign into a crash. The write is atomic and any
+   Sys_error degrades to a warning on stderr. *)
+let write_file_with_note ~fault ~what path content =
   try
-    if Dart_util.Faultsim.fire fault Dart_util.Faultsim.Io_error then
-      raise (Sys_error (path ^ ": injected io_error (faultsim)"));
-    let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc content);
-    Sys.rename tmp path;
+    Dart_util.Persist.write_atomic ~fault ~path content;
     Printf.eprintf "dartc campaign: wrote %s %s\n" what path
   with Sys_error msg ->
     Printf.eprintf "dartc campaign: warning: could not write %s: %s\n" what msg
 
 exception Chaos_oracle_violation
 
-(* Retire constructor → the short tag shared by the trace codec, the
-   status schema and the heatmap CSS classes. *)
-let retire_tag = function
-  | Dart.Campaign.Bug -> "bug"
-  | Dart.Campaign.Complete -> "complete"
-  | Dart.Campaign.Saturated -> "saturated"
-  | Dart.Campaign.Budget_capped -> "capped"
-  | Dart.Campaign.Quarantined _ -> "quarantined"
-
 let run_campaign file jobs seed depth max_runs per_function_runs retire_after retry_limit
     priority all_bugs time_budget solver_timeout json lcov html checkpoint resume
     resume_salvage chaos chaos_seed no_breaker trace status list_only =
   try
-    let src = read_file file in
+    let src = Dart_util.Persist.read_file file in
     match
       validate_campaign ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_runs
         ~time_budget ~solver_timeout ~list_only ~checkpoint ~resume ~resume_salvage ~chaos
@@ -999,7 +971,7 @@ let run_campaign file jobs seed depth max_runs per_function_runs retire_after re
                            with
                            | Some r ->
                              ( name,
-                               retire_tag r.Dart.Campaign.tr_retired,
+                               Dart.Campaign.retire_tag r.Dart.Campaign.tr_retired,
                                ns,
                                r.Dart.Campaign.tr_runs,
                                r.Dart.Campaign.tr_overruns )

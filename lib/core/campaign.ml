@@ -79,7 +79,8 @@ let frontier_count sites =
 
 (* ---- checkpoint codec ------------------------------------------------------------ *)
 
-let magic = "dart-campaign"
+module L = Dart_util.Persist.Lines
+
 let version = 2
 
 let retire_tag = function
@@ -88,8 +89,6 @@ let retire_tag = function
   | Saturated -> "saturated"
   | Budget_capped -> "capped"
   | Quarantined _ -> "quarantined"
-
-let bool_tag b = if b then "1" else "0"
 
 (* Everything a target's deterministic result depends on, one line;
    [load] insists on byte equality, so a resumed campaign can only ever
@@ -103,75 +102,73 @@ let meta_line ~(options : Driver.options) ~library =
     options.O.campaign.O.per_function_runs options.O.campaign.O.retire_after
     options.O.campaign.O.retry_limit
     (Strategy.to_string options.O.search.O.strategy)
-    (bool_tag (not options.O.budget.O.stop_on_first_bug))
+    (L.bool_tag (not options.O.budget.O.stop_on_first_bug))
     (Digest.to_hex (Digest.string library))
 
 (* One target = one block of lines followed by a "crc" trailer over the
    block's exact bytes, so a truncated or bit-flipped record is
    detectable on its own and everything before it stays loadable (the
    salvage path below). A quarantined target carries its reason as a
-   trailing escaped token — {!Checkpoint.escape} makes it space-free. *)
+   trailing escaped token. *)
 let target_block tr =
   let buf = Buffer.create 256 in
-  let line fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string buf s;
-        Buffer.add_char buf '\n')
-      fmt
-  in
-  let esc = Checkpoint.escape in
-  (match tr.tr_retired with
-   | Quarantined reason ->
-     line "target %s %d %d %d %s %d %d %s" (esc tr.tr_name) tr.tr_index tr.tr_runs
-       tr.tr_slices (retire_tag tr.tr_retired) tr.tr_overruns tr.tr_bopens (esc reason)
-   | _ ->
-     line "target %s %d %d %d %s %d %d" (esc tr.tr_name) tr.tr_index tr.tr_runs
-       tr.tr_slices (retire_tag tr.tr_retired) tr.tr_overruns tr.tr_bopens);
-  line "cover %d" (List.length tr.tr_coverage);
-  List.iter
-    (fun (fn, pc, dir) -> line "c %s %d %s" (esc fn) pc (bool_tag dir))
-    tr.tr_coverage;
-  line "bugs %d" (List.length tr.tr_bugs);
-  List.iter
-    (fun (b : Driver.bug) ->
-      let loc = b.Driver.bug_site.Machine.site_loc in
-      Buffer.add_string buf
-        (Printf.sprintf "bug %s %s %d %s %d %d %d %d"
-           (Machine.fault_tag b.Driver.bug_fault)
-           (esc b.Driver.bug_site.Machine.site_fn)
-           b.Driver.bug_site.Machine.site_pc (esc loc.Minic.Loc.file)
-           loc.Minic.Loc.line loc.Minic.Loc.col b.Driver.bug_run
-           (List.length b.Driver.bug_inputs));
-      List.iter
-        (fun (id, v) -> Buffer.add_string buf (Printf.sprintf " %d:%d" id v))
-        b.Driver.bug_inputs;
-      Buffer.add_char buf '\n')
-    tr.tr_bugs;
+  L.line buf "target %s %d %d %d %s %d %d%s" (L.esc tr.tr_name) tr.tr_index tr.tr_runs
+    tr.tr_slices (retire_tag tr.tr_retired) tr.tr_overruns tr.tr_bopens
+    (match tr.tr_retired with Quarantined reason -> " " ^ L.esc reason | _ -> "");
+  L.section buf "cover" (Checkpoint.write_cover ~tag:"c") tr.tr_coverage;
+  L.section buf "bugs" Checkpoint.write_bug tr.tr_bugs;
   Buffer.contents buf
 
 let to_string ~options ~library report =
   let buf = Buffer.create 4096 in
-  let line fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string buf s;
-        Buffer.add_char buf '\n')
-      fmt
-  in
-  line "%s v%d" magic version;
-  line "%s" (meta_line ~options ~library);
-  line "finished %d" (List.length report.cam_results);
+  Checkpoint.write_magic buf Checkpoint.Campaign ~version;
+  L.line buf "%s" (meta_line ~options ~library);
+  L.line buf "finished %d" (List.length report.cam_results);
   List.iter
     (fun tr ->
       let block = target_block tr in
       Buffer.add_string buf block;
-      line "crc %s" (Dart_util.Crc32.to_hex (Dart_util.Crc32.string block)))
+      L.line buf "crc %s" (Dart_util.Crc32.to_hex (Dart_util.Crc32.string block)))
     report.cam_results;
-  line "end";
+  L.line buf "end";
   Buffer.contents buf
 
-exception Bad of string
+let bad = Dart_util.Persist.bad
+
+(* The reader's tap collects the block's bytes for the CRC check
+   ([to_string] never emits empty lines, so the rebuild is byte-exact);
+   the trailer itself is outside the checksummed bytes. *)
+let read_block r =
+  let block = Buffer.create 256 in
+  L.set_tap r (Some block);
+  let header =
+    let int = L.int_tok "target" and str = L.str_tok "target" in
+    match L.fields r "target" with
+    | name :: index :: runs :: slices :: tag :: overruns :: bopens :: rest ->
+      let tr_retired =
+        match (tag, rest) with
+        | "bug", [] -> Bug
+        | "complete", [] -> Complete
+        | "saturated", [] -> Saturated
+        | "capped", [] -> Budget_capped
+        | "quarantined", [ reason ] -> Quarantined (str reason)
+        | _ -> bad "unknown retire reason %S" tag
+      in
+      { tr_name = str name; tr_index = int index; tr_runs = int runs; tr_slices = int slices;
+        tr_retired; tr_coverage = []; tr_bugs = []; tr_overruns = int overruns;
+        tr_bopens = int bopens }
+    | _ -> L.malformed "target"
+  in
+  let tr_coverage = L.read_section r "cover" (Checkpoint.read_cover ~tag:"c") in
+  let tr_bugs = L.read_section r "bugs" Checkpoint.read_bug in
+  L.set_tap r None;
+  (let hex = L.field r "crc" in
+   match Dart_util.Crc32.of_hex hex with
+   | None -> bad "bad crc %S" hex
+   | Some expected ->
+     if Dart_util.Crc32.string (Buffer.contents block) <> expected then
+       bad "checksum mismatch in record for %s (corrupted checkpoint)" header.tr_name);
+  { header with tr_coverage; tr_bugs }
 
 (* Shared parser. In strict mode any defect rejects the whole file; in
    salvage mode a defect inside the target blocks keeps the records
@@ -180,179 +177,32 @@ exception Bad of string
    Header defects reject the file in both modes: there is nothing to
    salvage without a trusted meta line. *)
 let parse ~salvage text =
-  let lines = ref (List.filter (fun l -> l <> "") (String.split_on_char '\n' text)) in
-  let next what =
-    match !lines with
-    | [] -> raise (Bad (Printf.sprintf "unexpected end of file, wanted %s" what))
-    | l :: rest ->
-      lines := rest;
-      l
-  in
-  (* Raw bytes of the block being parsed, rebuilt line by line for the
-     CRC check ([to_string] never emits empty lines, so the rebuild is
-     byte-exact). *)
-  let block = Buffer.create 256 in
-  let next_b what =
-    let l = next what in
-    Buffer.add_string block l;
-    Buffer.add_char block '\n';
-    l
-  in
-  let tokens l = String.split_on_char ' ' l in
-  let int_tok what t =
-    match int_of_string_opt t with
-    | Some v -> v
-    | None -> raise (Bad (Printf.sprintf "bad integer in %s: %S" what t))
-  in
-  let bool_tok what = function
-    | "0" -> false
-    | "1" -> true
-    | t -> raise (Bad (Printf.sprintf "bad boolean in %s: %S" what t))
-  in
-  let unesc what t =
-    match Checkpoint.unescape t with
-    | Ok s -> s
-    | Error msg -> raise (Bad (Printf.sprintf "%s in %s" msg what))
-  in
-  let expect_counted what =
-    match tokens (next_b what) with
-    | [ tag; count ] when tag = what -> int_tok what count
-    | _ -> raise (Bad (Printf.sprintf "expected %S record" what))
-  in
-  let parse_block () =
-    Buffer.clear block;
-    let tr_name, tr_index, tr_runs, tr_slices, tr_retired, tr_overruns, tr_bopens =
-      match tokens (next_b "target") with
-      | "target" :: name :: index :: runs :: slices :: tag :: overruns :: bopens :: rest ->
-        let retired =
-          match (tag, rest) with
-          | "bug", [] -> Bug
-          | "complete", [] -> Complete
-          | "saturated", [] -> Saturated
-          | "capped", [] -> Budget_capped
-          | "quarantined", [ reason ] -> Quarantined (unesc "target" reason)
-          | _ -> raise (Bad (Printf.sprintf "unknown retire reason %S" tag))
-        in
-        ( unesc "target" name,
-          int_tok "target" index,
-          int_tok "target" runs,
-          int_tok "target" slices,
-          retired,
-          int_tok "target" overruns,
-          int_tok "target" bopens )
-      | _ -> raise (Bad "expected \"target\" record")
-    in
-    let n_cov = expect_counted "cover" in
-    let tr_coverage =
-      List.init n_cov (fun _ ->
-          match tokens (next_b "c") with
-          | [ "c"; fn; pc; dir ] ->
-            (unesc "c" fn, int_tok "c" pc, bool_tok "c" dir)
-          | _ -> raise (Bad "expected \"c\" record"))
-    in
-    let n_bugs = expect_counted "bugs" in
-    let tr_bugs =
-      List.init n_bugs (fun _ ->
-          match tokens (next_b "bug") with
-          | "bug" :: fault :: fn :: pc :: file :: lno :: col :: run :: n_inputs
-            :: inputs ->
-            let bug_fault =
-              match Machine.fault_of_tag fault with
-              | Some f -> f
-              | None -> raise (Bad (Printf.sprintf "unknown fault %S" fault))
-            in
-            let n_inputs = int_tok "bug" n_inputs in
-            if List.length inputs <> n_inputs then
-              raise (Bad "bug input count mismatch");
-            { Driver.bug_fault;
-              bug_site =
-                { Machine.site_fn = unesc "bug" fn;
-                  site_pc = int_tok "bug" pc;
-                  site_loc =
-                    { Minic.Loc.file = unesc "bug" file;
-                      line = int_tok "bug" lno;
-                      col = int_tok "bug" col } };
-              bug_run = int_tok "bug" run;
-              bug_inputs =
-                List.map
-                  (fun e ->
-                    match String.split_on_char ':' e with
-                    | [ id; v ] -> (int_tok "bug" id, int_tok "bug" v)
-                    | _ -> raise (Bad (Printf.sprintf "bad bug input %S" e)))
-                  inputs }
-          | _ -> raise (Bad "expected \"bug\" record"))
-    in
-    (* The CRC trailer is outside the checksummed bytes. *)
-    (match tokens (next "crc") with
-     | [ "crc"; hex ] ->
-       (match Dart_util.Crc32.of_hex hex with
-        | None -> raise (Bad (Printf.sprintf "bad crc %S" hex))
-        | Some expected ->
-          let actual = Dart_util.Crc32.string (Buffer.contents block) in
-          if actual <> expected then
-            raise
-              (Bad
-                 (Printf.sprintf "checksum mismatch in record for %s (corrupted checkpoint)"
-                    tr_name)))
-     | _ -> raise (Bad "expected \"crc\" record"));
-    { tr_name; tr_index; tr_runs; tr_slices; tr_retired; tr_coverage; tr_bugs;
-      tr_overruns; tr_bopens }
-  in
+  let r = L.reader text in
   try
-    (match tokens (next "magic") with
-     | [ m; v ] when m = magic ->
-       if v <> Printf.sprintf "v%d" version then
-         raise
-           (Bad
-              (Printf.sprintf "unsupported campaign checkpoint version %s (this build reads v%d)"
-                 v version))
-     | m :: _ when m = "dart-checkpoint" ->
-       raise
-         (Bad "this is a single-shot search checkpoint; resume it with plain `dartc --resume`")
-     | _ -> raise (Bad "not a dart campaign checkpoint file"));
-    let meta = next "meta" in
-    if not (String.length meta >= 5 && String.sub meta 0 5 = "meta ") then
-      raise (Bad "expected \"meta\" record");
-    let n_finished = expect_counted "finished" in
-    let results, defect =
-      if salvage then begin
-        let acc = ref [] in
-        let defect = ref None in
-        (try
-           for _ = 1 to n_finished do
-             acc := parse_block () :: !acc
-           done;
-           match tokens (next "end") with
-           | [ "end" ] -> ()
-           | _ -> raise (Bad "expected \"end\" record")
-         with Bad msg -> defect := Some msg);
-        (List.rev !acc, !defect)
-      end
-      else begin
-        let results = List.init n_finished (fun _ -> parse_block ()) in
-        (match tokens (next "end") with
-         | [ "end" ] -> ()
-         | _ -> raise (Bad "expected \"end\" record"));
-        (results, None)
-      end
+    Checkpoint.read_magic r Checkpoint.Campaign ~version;
+    let meta = L.next_line r "meta" in
+    if not (String.length meta >= 5 && String.sub meta 0 5 = "meta ") then L.malformed "meta";
+    let n_finished = L.int_tok "finished" (L.field r "finished") in
+    let acc = ref [] in
+    let defect =
+      try
+        for _ = 1 to n_finished do
+          acc := read_block r :: !acc
+        done;
+        L.expect_end r;
+        None
+      with Dart_util.Persist.Bad msg when salvage -> Some msg
     in
-    Ok (meta, n_finished, results, defect)
-  with Bad msg -> Error msg
+    Ok (meta, n_finished, List.rev !acc, defect)
+  with Dart_util.Persist.Bad msg -> Error msg
 
 let of_string text =
   match parse ~salvage:false text with
   | Ok (meta, _, results, _) -> Ok (meta, results)
   | Error _ as e -> e
 
-let save ~path ~options ~library report =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (to_string ~options ~library report);
-      flush oc);
-  Sys.rename tmp path
+let save ?fault ~path ~options ~library report =
+  Dart_util.Persist.write_atomic ?fault ~path (to_string ~options ~library report)
 
 let check_meta ~options ~library found_meta =
   let expected = meta_line ~options ~library in
@@ -364,48 +214,35 @@ let check_meta ~options ~library found_meta =
          \  found:    %s" expected found_meta)
   else Ok ()
 
+(* Salvage mode: corruption degrades to the longest valid prefix
+   (CRC-verified per record) plus a warning; an unreadable header
+   degrades to an empty restore. A configuration mismatch is NOT
+   corruption and still refuses — silently dropping a healthy
+   checkpoint of a different campaign would destroy real work. *)
 let load ?salvage ~path ~options ~library () =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match Dart_util.Persist.read_file path with
   | exception Sys_error msg -> Error msg
   | text -> (
-    match salvage with
-    | None -> (
-      match of_string text with
-      | Error msg -> Error msg
-      | Ok (found_meta, results) ->
-        (match check_meta ~options ~library found_meta with
-         | Error _ as e -> e
-         | Ok () -> Ok results))
-    | Some warn -> (
-      (* Salvage mode: corruption degrades to the longest valid prefix
-         (CRC-verified per record) plus a warning; an unreadable header
-         degrades to an empty restore. A configuration mismatch is NOT
-         corruption and still refuses — silently dropping a healthy
-         checkpoint of a different campaign would destroy real work. *)
-      match parse ~salvage:true text with
-      | Error msg ->
-        warn
-          (Printf.sprintf
-             "checkpoint unusable (%s); salvaged 0 records, restarting from scratch" msg);
-        Ok []
-      | Ok (found_meta, n_finished, results, defect) ->
-        (match check_meta ~options ~library found_meta with
-         | Error _ as e -> e
-         | Ok () ->
-           (match defect with
-            | None -> ()
-            | Some msg ->
-              warn
-                (Printf.sprintf
-                   "checkpoint damaged (%s); salvaged %d of %d finished targets, the rest \
-                    will be re-run"
-                   msg (List.length results) n_finished));
-           Ok results)))
+    match (parse ~salvage:(salvage <> None) text, salvage) with
+    | Error msg, None -> Error msg
+    | Error msg, Some warn ->
+      warn
+        (Printf.sprintf "checkpoint unusable (%s); salvaged 0 records, restarting from scratch"
+           msg);
+      Ok []
+    | Ok (found_meta, n_finished, results, defect), _ ->
+      Result.map
+        (fun () ->
+          (match (defect, salvage) with
+           | Some msg, Some warn ->
+             warn
+               (Printf.sprintf
+                  "checkpoint damaged (%s); salvaged %d of %d finished targets, the rest will \
+                   be re-run"
+                  msg (List.length results) n_finished)
+           | _ -> ());
+          results)
+        (check_meta ~options ~library found_meta))
 
 (* ---- aggregation ----------------------------------------------------------------- *)
 
@@ -708,9 +545,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
             in
             let h = cam_metrics.Telemetry.solve_hist in
             try
-              if Dart_util.Faultsim.fire fault Dart_util.Faultsim.Io_error then
-                raise (Sys_error (path ^ ": injected io_error (faultsim)"));
-              Status.write ~path
+              Status.write ~fault ~path
                 { Status.st_mode = Status.Campaign;
                 st_elapsed_ns = elapsed;
                 st_budget_ns = time_budget_ns;
@@ -748,9 +583,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
             let n = List.length r.cam_results in
             if n <> !finished_at_last_save then begin
               try
-                if Dart_util.Faultsim.fire fault Dart_util.Faultsim.Io_error then
-                  raise (Sys_error (path ^ ": injected io_error (faultsim)"));
-                save ~path ~options ~library:text r;
+                save ~fault ~path ~options ~library:text r;
                 (* Only advance on success, so the next settle retries
                    the write instead of silently skipping it. *)
                 finished_at_last_save := n;
@@ -1068,25 +901,10 @@ let report_to_string r =
      List.iter (fun (name, reason) -> line "  - %s: %s" name reason) sk);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json r =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let str s = "\"" ^ json_escape s ^ "\"" in
+  let str = Dart_util.Persist.Json.string in
   let bug_json target (b : Driver.bug) =
     let loc = b.Driver.bug_site.Machine.site_loc in
     Printf.sprintf

@@ -173,6 +173,10 @@ val report_to_string : report -> string
     retirement histogram (plus a quarantine list when any target was
     quarantined), deduped crash list, aggregate coverage. *)
 
+val retire_tag : retire -> string
+(** [bug], [complete], [saturated], [capped] or [quarantined]: the
+    spelling in the checkpoint, the JSON report and the trace. *)
+
 val to_json : report -> string
 (** Machine-readable aggregate (one JSON object, 2-space indented,
     trailing newline): campaign counters, per-target results, deduped
@@ -183,10 +187,17 @@ val to_json : report -> string
 
 (** {1 Checkpoint codec} *)
 
-val save : path:string -> options:Driver.options -> library:string -> report -> unit
+val save :
+  ?fault:Dart_util.Faultsim.t ->
+  path:string ->
+  options:Driver.options ->
+  library:string ->
+  report ->
+  unit
 (** Atomic write of the campaign checkpoint: meta derived from
     [options] plus [Digest.string library], then one record block per
-    finished target. *)
+    finished target. [fault] arms the [Io_error] probe of
+    {!Dart_util.Persist.write_atomic}. *)
 
 val load :
   ?salvage:(string -> unit) ->

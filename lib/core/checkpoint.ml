@@ -4,7 +4,6 @@
    percent-escaped — so a checkpoint survives inspection with a pager
    and diffs meaningfully in CI artifacts. *)
 
-let magic = "dart-checkpoint"
 let version = 2
 
 type meta = {
@@ -47,301 +46,219 @@ let check_meta ~expected ~found =
       (onoff expected.m_shared_cache)
   else Ok ()
 
-(* Strings (function names, file paths) are %-escaped so every record
-   stays one line of space-separated tokens. *)
-let esc s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | ' ' | '%' | '\n' | '\t' | '\r' ->
-        Buffer.add_string buf (Printf.sprintf "%%%02x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* ---- records shared with the campaign codec ------------------------------------ *)
 
-exception Bad of string
+module L = Dart_util.Persist.Lines
 
-let unesc s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    (match s.[!i] with
-     | '%' ->
-       if !i + 2 >= n then raise (Bad "truncated %-escape");
-       (match int_of_string_opt ("0x" ^ String.sub s (!i + 1) 2) with
-        | Some code -> Buffer.add_char buf (Char.chr (code land 0xff))
-        | None -> raise (Bad "bad %-escape"));
-       i := !i + 2
-     | c -> Buffer.add_char buf c);
-    incr i
-  done;
-  Buffer.contents buf
+let bad = Dart_util.Persist.bad
 
-let escape = esc
-let unescape s = match unesc s with v -> Ok v | exception Bad msg -> Error msg
+type format =
+  | Search
+  | Campaign
 
-let bool_tag b = if b then "1" else "0"
+let magic_of = function Search -> "dart-checkpoint" | Campaign -> "dart-campaign"
+
+let write_magic buf fmt ~version = L.line buf "%s v%d" (magic_of fmt) version
+
+let read_magic r fmt ~version =
+  let other, name, redirect =
+    match fmt with
+    | Search ->
+      (Campaign, "checkpoint", "a campaign checkpoint; resume it with `dartc campaign --resume`")
+    | Campaign ->
+      ( Search,
+        "campaign checkpoint",
+        "a single-shot search checkpoint; resume it with plain `dartc --resume`" )
+  in
+  match String.split_on_char ' ' (L.next_line r "magic") with
+  | [ m; v ] when m = magic_of fmt ->
+    if v <> Printf.sprintf "v%d" version then
+      bad "unsupported %s version %s (this build reads v%d)" name v version
+  | m :: _ when m = magic_of other -> bad "this is %s" redirect
+  | _ -> bad "not a dart %s file" name
+
+let write_cover ~tag buf (fn, pc, dir) = L.line buf "%s %s %d %s" tag (L.esc fn) pc (L.bool_tag dir)
+
+let read_cover ~tag r =
+  match L.fields r tag with
+  | [ fn; pc; dir ] -> (L.str_tok tag fn, L.int_tok tag pc, L.bool_tok tag dir)
+  | _ -> L.malformed tag
+
+let write_bug buf (b : Driver.bug) =
+  let site = b.Driver.bug_site in
+  let loc = site.Machine.site_loc in
+  L.line buf "bug %s %s %d %s %d %d %d %d%s"
+    (Machine.fault_tag b.Driver.bug_fault)
+    (L.esc site.Machine.site_fn) site.Machine.site_pc (L.esc loc.Minic.Loc.file)
+    loc.Minic.Loc.line loc.Minic.Loc.col b.Driver.bug_run
+    (List.length b.Driver.bug_inputs)
+    (String.concat "" (List.map (fun (id, v) -> Printf.sprintf " %d:%d" id v) b.Driver.bug_inputs))
+
+let read_bug r =
+  let int = L.int_tok "bug" and str = L.str_tok "bug" in
+  match L.fields r "bug" with
+  | fault :: fn :: pc :: file :: lno :: col :: run :: n_inputs :: inputs ->
+    let bug_fault =
+      match Machine.fault_of_tag fault with Some f -> f | None -> bad "unknown fault %S" fault
+    in
+    if List.length inputs <> int n_inputs then bad "bug input count mismatch";
+    { Driver.bug_fault;
+      bug_site =
+        { Machine.site_fn = str fn;
+          site_pc = int pc;
+          site_loc = { Minic.Loc.file = str file; line = int lno; col = int col } };
+      bug_run = int run;
+      bug_inputs =
+        List.map
+          (fun e ->
+            let id, v = L.pair_tok "bug" e in
+            (int id, int v))
+          inputs }
+  | _ -> L.malformed "bug"
+
+(* ---- the search checkpoint ----------------------------------------------------- *)
 
 let to_string (meta : meta) (s : Driver.snapshot) =
   let buf = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  line "%s v%d" magic version;
+  let line fmt = L.line buf fmt and bit = L.bool_tag in
+  write_magic buf Search ~version;
   line "meta seed=%d depth=%d max_runs=%d strategy=%s incremental=%s shared_cache=%s"
     meta.m_seed meta.m_depth meta.m_max_runs
     (Strategy.to_string meta.m_strategy)
-    (bool_tag meta.m_incremental)
-    (bool_tag meta.m_shared_cache);
-  line "pending_restart %s" (bool_tag s.Driver.sn_pending_restart);
+    (bit meta.m_incremental) (bit meta.m_shared_cache);
+  line "pending_restart %s" (bit s.Driver.sn_pending_restart);
   line "rng %Ld" s.Driver.sn_rng;
   line "counters runs=%d restarts=%d total_steps=%d paths=%d resource_limited=%d"
     s.Driver.sn_runs s.Driver.sn_restarts s.Driver.sn_total_steps s.Driver.sn_paths
     s.Driver.sn_resource_limited;
-  line "flags all_linear=%s all_locs_definite=%s"
-    (bool_tag s.Driver.sn_all_linear)
-    (bool_tag s.Driver.sn_all_locs_definite);
-  let stack = s.Driver.sn_stack in
-  Buffer.add_string buf (Printf.sprintf "stack %d" (Array.length stack));
-  Array.iter
-    (fun (br : Concolic.branch_record) ->
-      Buffer.add_string buf
-        (Printf.sprintf " %s:%s" (bool_tag br.Concolic.br_branch)
-           (bool_tag br.Concolic.br_done)))
-    stack;
-  Buffer.add_char buf '\n';
-  line "im %d" (List.length s.Driver.sn_im);
-  List.iter
-    (fun (id, value, kind) -> line "input %d %d %s" id value (Inputs.kind_tag kind))
+  line "flags all_linear=%s all_locs_definite=%s" (bit s.Driver.sn_all_linear)
+    (bit s.Driver.sn_all_locs_definite);
+  line "stack %d%s" (Array.length s.Driver.sn_stack)
+    (String.concat ""
+       (Array.to_list
+          (Array.map
+             (fun (br : Concolic.branch_record) ->
+               Printf.sprintf " %s:%s" (bit br.Concolic.br_branch) (bit br.Concolic.br_done))
+             s.Driver.sn_stack)));
+  L.section buf "im"
+    (fun buf (id, value, kind) -> L.line buf "input %d %d %s" id value (Inputs.kind_tag kind))
     s.Driver.sn_im;
-  line "coverage %d" (List.length s.Driver.sn_coverage);
-  List.iter
-    (fun (fn, pc, dir) -> line "cover %s %d %s" (esc fn) pc (bool_tag dir))
-    s.Driver.sn_coverage;
-  line "stats %d" (List.length s.Driver.sn_stats);
-  List.iter (fun (k, v) -> line "stat %s %d" (esc k) v) s.Driver.sn_stats;
-  line "bugs %d" (List.length s.Driver.sn_bugs);
-  List.iter
-    (fun (b : Driver.bug) ->
-      let loc = b.Driver.bug_site.Machine.site_loc in
-      Buffer.add_string buf
-        (Printf.sprintf "bug %s %s %d %s %d %d %d %d"
-           (Machine.fault_tag b.Driver.bug_fault)
-           (esc b.Driver.bug_site.Machine.site_fn)
-           b.Driver.bug_site.Machine.site_pc (esc loc.Minic.Loc.file)
-           loc.Minic.Loc.line loc.Minic.Loc.col b.Driver.bug_run
-           (List.length b.Driver.bug_inputs));
-      List.iter
-        (fun (id, v) -> Buffer.add_string buf (Printf.sprintf " %d:%d" id v))
-        b.Driver.bug_inputs;
-      Buffer.add_char buf '\n')
-    s.Driver.sn_bugs;
+  L.section buf "coverage" (write_cover ~tag:"cover") s.Driver.sn_coverage;
+  L.section buf "stats" (fun buf (k, v) -> L.line buf "stat %s %d" (L.esc k) v) s.Driver.sn_stats;
+  L.section buf "bugs" write_bug s.Driver.sn_bugs;
   line "end";
   Buffer.contents buf
 
+(* The counters [Driver.search] hands to [Solver.of_assoc] on resume,
+   which rejects any other name. *)
+let stat_names = List.map fst (Solver.to_assoc (Solver.create_stats ()))
+
 let of_string text =
-  let lines = String.split_on_char '\n' text in
-  let lines = ref (List.filter (fun l -> l <> "") lines) in
-  let next what =
-    match !lines with
-    | [] -> raise (Bad (Printf.sprintf "unexpected end of file, wanted %s" what))
-    | l :: rest ->
-      lines := rest;
-      l
-  in
-  let tokens l = String.split_on_char ' ' l in
-  let int_tok what t =
-    match int_of_string_opt t with
-    | Some v -> v
-    | None -> raise (Bad (Printf.sprintf "bad integer in %s: %S" what t))
-  in
-  let bool_tok what = function
-    | "0" -> false
-    | "1" -> true
-    | t -> raise (Bad (Printf.sprintf "bad boolean in %s: %S" what t))
-  in
-  (* "k=v" fields in a fixed order, as written by [to_string]. *)
-  let kv what key t =
-    match String.index_opt t '=' with
-    | Some i when String.sub t 0 i = key ->
-      String.sub t (i + 1) (String.length t - i - 1)
-    | _ -> raise (Bad (Printf.sprintf "expected %s=... in %s, got %S" key what t))
-  in
-  let expect_counted what =
-    match tokens (next what) with
-    | [ tag; count ] when tag = what -> int_tok what count
-    | _ -> raise (Bad (Printf.sprintf "expected %S record" what))
+  let r = L.reader text in
+  let int = L.int_tok and bool = L.bool_tok in
+  (* A record of "k=v" tokens in a fixed order, as written by
+     [to_string], decoded eagerly; the result looks a value up by key. *)
+  let kv_record tag decode keys =
+    let toks = L.fields r tag in
+    if List.length toks <> List.length keys then L.malformed tag;
+    let kv key t =
+      match String.index_opt t '=' with
+      | Some i when String.sub t 0 i = key -> String.sub t (i + 1) (String.length t - i - 1)
+      | _ -> bad "expected %s=... in %s, got %S" key tag t
+    in
+    let values = List.map2 (fun key t -> (key, decode tag (kv key t))) keys toks in
+    fun key -> List.assoc key values
   in
   try
-    (match tokens (next "magic") with
-     | [ m; v ] when m = magic ->
-       if v <> Printf.sprintf "v%d" version then
-         raise (Bad (Printf.sprintf "unsupported checkpoint version %s (this build reads v%d)" v version))
-     | m :: _ when m = "dart-campaign" ->
-       (* The sibling format: campaigns checkpoint finished targets, not
-          one search's snapshot. Point the caller at the right door. *)
-       raise (Bad "this is a campaign checkpoint; resume it with `dartc campaign --resume`")
-     | _ -> raise (Bad "not a dart checkpoint file"));
+    read_magic r Search ~version;
     let meta =
-      match tokens (next "meta") with
-      | [ "meta"; seed; depth; max_runs; strategy; incremental; shared_cache ] ->
-        let strategy_name = kv "meta" "strategy" strategy in
-        let m_strategy =
-          match Strategy.of_string strategy_name with
-          | Some s -> s
-          | None -> raise (Bad (Printf.sprintf "unknown strategy %S" strategy_name))
-        in
-        { m_seed = int_tok "meta" (kv "meta" "seed" seed);
-          m_depth = int_tok "meta" (kv "meta" "depth" depth);
-          m_max_runs = int_tok "meta" (kv "meta" "max_runs" max_runs);
-          m_strategy;
-          m_incremental = bool_tok "meta" (kv "meta" "incremental" incremental);
-          m_shared_cache = bool_tok "meta" (kv "meta" "shared_cache" shared_cache) }
-      | _ -> raise (Bad "expected \"meta\" record")
+      let get =
+        kv_record "meta"
+          (fun _ v -> v)
+          [ "seed"; "depth"; "max_runs"; "strategy"; "incremental"; "shared_cache" ]
+      in
+      let int k = int "meta" (get k) and bool k = bool "meta" (get k) in
+      let m_strategy =
+        match Strategy.of_string (get "strategy") with
+        | Some s -> s
+        | None -> bad "unknown strategy %S" (get "strategy")
+      in
+      { m_seed = int "seed";
+        m_depth = int "depth";
+        m_max_runs = int "max_runs";
+        m_strategy;
+        m_incremental = bool "incremental";
+        m_shared_cache = bool "shared_cache" }
     in
-    let sn_pending_restart =
-      match tokens (next "pending_restart") with
-      | [ "pending_restart"; b ] -> bool_tok "pending_restart" b
-      | _ -> raise (Bad "expected \"pending_restart\" record")
-    in
+    let sn_pending_restart = bool "pending_restart" (L.field r "pending_restart") in
     let sn_rng =
-      match tokens (next "rng") with
-      | [ "rng"; v ] ->
-        (match Int64.of_string_opt v with
-         | Some v -> v
-         | None -> raise (Bad "bad rng state"))
-      | _ -> raise (Bad "expected \"rng\" record")
+      match Int64.of_string_opt (L.field r "rng") with Some v -> v | None -> bad "bad rng state"
     in
-    let sn_runs, sn_restarts, sn_total_steps, sn_paths, sn_resource_limited =
-      match tokens (next "counters") with
-      | [ "counters"; a; b; c; d; e ] ->
-        ( int_tok "counters" (kv "counters" "runs" a),
-          int_tok "counters" (kv "counters" "restarts" b),
-          int_tok "counters" (kv "counters" "total_steps" c),
-          int_tok "counters" (kv "counters" "paths" d),
-          int_tok "counters" (kv "counters" "resource_limited" e) )
-      | _ -> raise (Bad "expected \"counters\" record")
+    let counter =
+      kv_record "counters" int [ "runs"; "restarts"; "total_steps"; "paths"; "resource_limited" ]
     in
-    let sn_all_linear, sn_all_locs_definite =
-      match tokens (next "flags") with
-      | [ "flags"; a; b ] ->
-        ( bool_tok "flags" (kv "flags" "all_linear" a),
-          bool_tok "flags" (kv "flags" "all_locs_definite" b) )
-      | _ -> raise (Bad "expected \"flags\" record")
-    in
+    let flag = kv_record "flags" bool [ "all_linear"; "all_locs_definite" ] in
     let sn_stack =
-      match tokens (next "stack") with
-      | "stack" :: count :: entries ->
-        let count = int_tok "stack" count in
-        if List.length entries <> count then raise (Bad "stack length mismatch");
+      match L.fields r "stack" with
+      | count :: entries ->
+        if List.length entries <> int "stack" count then bad "stack length mismatch";
         Array.of_list
           (List.map
              (fun e ->
-               match String.split_on_char ':' e with
-               | [ branch; don ] ->
-                 { Concolic.br_branch = bool_tok "stack" branch;
-                   br_done = bool_tok "stack" don }
-               | _ -> raise (Bad (Printf.sprintf "bad stack entry %S" e)))
+               let branch, don = L.pair_tok "stack" e in
+               { Concolic.br_branch = bool "stack" branch; br_done = bool "stack" don })
              entries)
-      | _ -> raise (Bad "expected \"stack\" record")
+      | [] -> L.malformed "stack"
     in
-    let n_im = expect_counted "im" in
     let sn_im =
-      List.init n_im (fun _ ->
-          match tokens (next "input") with
-          | [ "input"; id; value; kind ] ->
-            let kind =
-              match Inputs.kind_of_tag kind with
-              | Some k -> k
-              | None -> raise (Bad (Printf.sprintf "unknown input kind %S" kind))
-            in
-            (int_tok "input" id, int_tok "input" value, kind)
-          | _ -> raise (Bad "expected \"input\" record"))
+      L.read_section r "im" (fun r ->
+          match L.fields r "input" with
+          | [ id; value; kind ] -> (
+            match Inputs.kind_of_tag kind with
+            | Some k -> (int "input" id, int "input" value, k)
+            | None -> bad "unknown input kind %S" kind)
+          | _ -> L.malformed "input")
     in
-    let n_cov = expect_counted "coverage" in
-    let sn_coverage =
-      List.init n_cov (fun _ ->
-          match tokens (next "cover") with
-          | [ "cover"; fn; pc; dir ] ->
-            (unesc fn, int_tok "cover" pc, bool_tok "cover" dir)
-          | _ -> raise (Bad "expected \"cover\" record"))
-    in
-    let n_stats = expect_counted "stats" in
+    let sn_coverage = L.read_section r "coverage" (read_cover ~tag:"cover") in
     let sn_stats =
-      List.init n_stats (fun _ ->
-          match tokens (next "stat") with
-          | [ "stat"; k; v ] -> (unesc k, int_tok "stat" v)
-          | _ -> raise (Bad "expected \"stat\" record"))
+      L.read_section r "stats" (fun r ->
+          match L.fields r "stat" with
+          | [ k; v ] -> (L.str_tok "stat" k, int "stat" v)
+          | _ -> L.malformed "stat")
     in
-    let n_bugs = expect_counted "bugs" in
-    let sn_bugs =
-      List.init n_bugs (fun _ ->
-          match tokens (next "bug") with
-          | "bug" :: fault :: fn :: pc :: file :: lno :: col :: run :: n_inputs :: inputs ->
-            let bug_fault =
-              match Machine.fault_of_tag fault with
-              | Some f -> f
-              | None -> raise (Bad (Printf.sprintf "unknown fault %S" fault))
-            in
-            let n_inputs = int_tok "bug" n_inputs in
-            if List.length inputs <> n_inputs then raise (Bad "bug input count mismatch");
-            { Driver.bug_fault;
-              bug_site =
-                { Machine.site_fn = unesc fn;
-                  site_pc = int_tok "bug" pc;
-                  site_loc =
-                    { Minic.Loc.file = unesc file;
-                      line = int_tok "bug" lno;
-                      col = int_tok "bug" col } };
-              bug_run = int_tok "bug" run;
-              bug_inputs =
-                List.map
-                  (fun e ->
-                    match String.split_on_char ':' e with
-                    | [ id; v ] -> (int_tok "bug" id, int_tok "bug" v)
-                    | _ -> raise (Bad (Printf.sprintf "bad bug input %S" e)))
-                  inputs }
-          | _ -> raise (Bad "expected \"bug\" record"))
-    in
-    (match tokens (next "end") with
-     | [ "end" ] -> ()
-     | _ -> raise (Bad "expected \"end\" record"));
+    (* Reject here what resuming would trip over later: an unknown name
+       makes [Solver.of_assoc] raise, and a repeated one would silently
+       win over the first. *)
+    ignore
+      (List.fold_left
+         (fun seen (k, _) ->
+           if not (List.mem k stat_names) then bad "unknown stat counter %S" k;
+           if List.mem k seen then bad "duplicate stat counter %S" k;
+           k :: seen)
+         [] sn_stats);
+    let sn_bugs = L.read_section r "bugs" read_bug in
+    L.expect_end r;
     Ok
       ( meta,
         { Driver.sn_pending_restart;
           sn_stack;
           sn_im;
           sn_rng;
-          sn_runs;
-          sn_restarts;
-          sn_total_steps;
-          sn_paths;
-          sn_resource_limited;
-          sn_all_linear;
-          sn_all_locs_definite;
+          sn_runs = counter "runs";
+          sn_restarts = counter "restarts";
+          sn_total_steps = counter "total_steps";
+          sn_paths = counter "paths";
+          sn_resource_limited = counter "resource_limited";
+          sn_all_linear = flag "all_linear";
+          sn_all_locs_definite = flag "all_locs_definite";
           sn_coverage;
           sn_stats;
           sn_bugs } )
-  with Bad msg -> Error msg
+  with Dart_util.Persist.Bad msg -> Error msg
 
-let save ~path ~meta snapshot =
-  (* Write-then-rename in the target directory: the rename is atomic on
-     POSIX, so a crash mid-save never corrupts an existing checkpoint. *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (to_string meta snapshot);
-      flush oc);
-  Sys.rename tmp path
+let save ~path ~meta snapshot = Dart_util.Persist.write_atomic ~path (to_string meta snapshot)
 
 let load ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match Dart_util.Persist.read_file path with
   | exception Sys_error msg -> Error msg
   | text -> of_string text

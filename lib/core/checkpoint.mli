@@ -6,7 +6,8 @@
     the snapshot's determinism depends on) plus the snapshot itself. Writes are atomic
     (temp file + rename in the target directory), so a SIGKILL mid-save
     leaves the previous checkpoint intact; loads validate the magic,
-    the version and every field, and {!check_meta} refuses to resume a
+    the version and every field (including that every solver counter is
+    known and appears once), and {!check_meta} refuses to resume a
     snapshot under options it was not taken under — resuming with a
     different seed or strategy would silently diverge from the
     interrupted search instead of continuing it. The run budget is
@@ -60,8 +61,24 @@ val of_string : string -> (meta * Driver.snapshot, string) result
     [dartc campaign --resume], so feeding the wrong kind of checkpoint
     to [--resume] is a usage error, not a parse mystery. *)
 
-val escape : string -> string
-val unescape : string -> (string, string) result
-(** The %-escaping the line records use for strings, shared with the
-    {!Campaign} codec so both formats stay greppable one-record-per-line
-    texts with identical quoting. *)
+(** {1 Records shared with the {!Campaign} checkpoint} *)
+
+type format =
+  | Search (* [dart-checkpoint]: one search's snapshot *)
+  | Campaign (* [dart-campaign]: a campaign's finished targets *)
+
+val write_magic : Buffer.t -> format -> version:int -> unit
+
+val read_magic : Dart_util.Persist.Lines.reader -> format -> version:int -> unit
+(** Checks the magic line. Raises {!Dart_util.Persist.Bad} on another
+    version, and on the sibling format's magic with a message naming the
+    command that resumes it. *)
+
+val write_cover : tag:string -> Buffer.t -> string * int * bool -> unit
+val read_cover : tag:string -> Dart_util.Persist.Lines.reader -> string * int * bool
+(** A covered branch direction [(fn, pc, dir)] as a [tag] record. *)
+
+val write_bug : Buffer.t -> Driver.bug -> unit
+val read_bug : Dart_util.Persist.Lines.reader -> Driver.bug
+(** A [bug] record: the fault, its site, the run and the input vector
+    that replays it. *)

@@ -320,9 +320,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
     (* Status is observability output: a full disk or revoked permission
        must degrade to a warning, never abort the search. Warn once. *)
     try
-      if Dart_util.Faultsim.fire fs Dart_util.Faultsim.Io_error then
-        raise (Sys_error (path ^ ": injected io_error (faultsim)"));
-      Status.write ~path
+      Status.write ~fault:fs ~path
       { Status.st_mode = Status.Run;
         st_elapsed_ns = elapsed;
         st_budget_ns = options.Options.budget.Options.time_budget_ns;

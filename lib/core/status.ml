@@ -1,8 +1,8 @@
 (* Live status snapshots: a single flat JSON object, atomically
-   rewritten (write-then-rename, like Checkpoint.save) so a concurrent
-   [dartc watch] always reads a complete object. Schema v1 is
-   intentionally integer-only — it reuses the flat-object parser of the
-   trace codec, which has no float production. *)
+   rewritten (Persist.write_atomic, like Checkpoint.save) so a
+   concurrent [dartc watch] always reads a complete object. Schema v1
+   is intentionally integer-only: it is a Persist.Json flat object,
+   which has no float production. *)
 
 type mode =
   | Run
@@ -38,113 +38,59 @@ type t = {
 let schema = "dart-status"
 let version = 1
 
+module J = Dart_util.Persist.Json
+
 let to_json st =
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf '{';
-  let first = ref true in
-  let raw k v =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_char buf '"';
-    Buffer.add_string buf k;
-    Buffer.add_string buf "\":";
-    Buffer.add_string buf v
-  in
-  let str k v = raw k (Printf.sprintf "%S" v) in
-  let int k v = raw k (string_of_int v) in
-  let i64 k v = raw k (Int64.to_string v) in
-  str "schema" schema;
-  int "version" version;
-  str "mode" (mode_to_string st.st_mode);
-  i64 "elapsed_ns" st.st_elapsed_ns;
-  (match st.st_budget_ns with None -> () | Some ns -> i64 "budget_ns" ns);
-  int "runs" st.st_runs;
-  int "max_runs" st.st_max_runs;
-  int "execs_per_sec" st.st_execs_per_sec;
-  int "bugs" st.st_bugs;
-  int "covered" st.st_covered;
-  int "frontier" st.st_frontier;
-  int "done" st.st_done;
-  int "active" st.st_active;
-  int "remaining" st.st_remaining;
-  int "round" st.st_round;
-  i64 "solve_p50_ns" st.st_solve_p50_ns;
-  i64 "solve_p99_ns" st.st_solve_p99_ns;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let int v = J.Int (Int64.of_int v) in
+  J.flat_object
+    ([ ("schema", J.Str schema);
+       ("version", int version);
+       ("mode", J.Str (mode_to_string st.st_mode));
+       ("elapsed_ns", J.Int st.st_elapsed_ns) ]
+    @ (match st.st_budget_ns with None -> [] | Some ns -> [ ("budget_ns", J.Int ns) ])
+    @ [ ("runs", int st.st_runs);
+        ("max_runs", int st.st_max_runs);
+        ("execs_per_sec", int st.st_execs_per_sec);
+        ("bugs", int st.st_bugs);
+        ("covered", int st.st_covered);
+        ("frontier", int st.st_frontier);
+        ("done", int st.st_done);
+        ("active", int st.st_active);
+        ("remaining", int st.st_remaining);
+        ("round", int st.st_round);
+        ("solve_p50_ns", J.Int st.st_solve_p50_ns);
+        ("solve_p99_ns", J.Int st.st_solve_p99_ns) ])
 
 let of_json line =
-  match Telemetry.parse_flat line with
-  | Error msg -> Error msg
-  | Ok fields ->
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (Telemetry.Jstr s) -> Ok s
-      | _ -> Error (Printf.sprintf "missing string field %S" k)
+  let bad = Dart_util.Persist.bad in
+  try
+    let fields = J.parse_flat line in
+    let str = J.str fields and int = J.int fields and i64 = J.i64 fields in
+    if str "schema" <> schema then bad "not a %s file (schema %S)" schema (str "schema");
+    if int "version" <> version then bad "unsupported status version %d" (int "version");
+    let st_mode =
+      match mode_of_string (str "mode") with Some m -> m | None -> bad "bad mode %S" (str "mode")
     in
-    let i64 k =
-      match List.assoc_opt k fields with
-      | Some (Telemetry.Jint v) -> Ok v
-      | _ -> Error (Printf.sprintf "missing integer field %S" k)
-    in
-    let int k = Result.map Int64.to_int (i64 k) in
-    let ( let* ) = Result.bind in
-    let* s = str "schema" in
-    if s <> schema then Error (Printf.sprintf "not a %s file (schema %S)" schema s)
-    else
-      let* v = int "version" in
-      if v <> version then Error (Printf.sprintf "unsupported status version %d" v)
-      else
-        let* mode_s = str "mode" in
-        let* mode =
-          match mode_of_string mode_s with
-          | Some m -> Ok m
-          | None -> Error (Printf.sprintf "bad mode %S" mode_s)
-        in
-        let* elapsed_ns = i64 "elapsed_ns" in
-        let budget_ns =
-          match List.assoc_opt "budget_ns" fields with
-          | Some (Telemetry.Jint v) -> Some v
-          | _ -> None
-        in
-        let* runs = int "runs" in
-        let* max_runs = int "max_runs" in
-        let* execs_per_sec = int "execs_per_sec" in
-        let* bugs = int "bugs" in
-        let* covered = int "covered" in
-        let* frontier = int "frontier" in
-        let* done_ = int "done" in
-        let* active = int "active" in
-        let* remaining = int "remaining" in
-        let* round = int "round" in
-        let* solve_p50_ns = i64 "solve_p50_ns" in
-        let* solve_p99_ns = i64 "solve_p99_ns" in
-        Ok
-          { st_mode = mode;
-            st_elapsed_ns = elapsed_ns;
-            st_budget_ns = budget_ns;
-            st_runs = runs;
-            st_max_runs = max_runs;
-            st_execs_per_sec = execs_per_sec;
-            st_bugs = bugs;
-            st_covered = covered;
-            st_frontier = frontier;
-            st_done = done_;
-            st_active = active;
-            st_remaining = remaining;
-            st_round = round;
-            st_solve_p50_ns = solve_p50_ns;
-            st_solve_p99_ns = solve_p99_ns }
+    Ok
+      { st_mode;
+        st_elapsed_ns = i64 "elapsed_ns";
+        st_budget_ns =
+          (match List.assoc_opt "budget_ns" fields with Some (J.Int v) -> Some v | _ -> None);
+        st_runs = int "runs";
+        st_max_runs = int "max_runs";
+        st_execs_per_sec = int "execs_per_sec";
+        st_bugs = int "bugs";
+        st_covered = int "covered";
+        st_frontier = int "frontier";
+        st_done = int "done";
+        st_active = int "active";
+        st_remaining = int "remaining";
+        st_round = int "round";
+        st_solve_p50_ns = i64 "solve_p50_ns";
+        st_solve_p99_ns = i64 "solve_p99_ns" }
+  with Dart_util.Persist.Bad msg -> Error msg
 
-let write ~path st =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (to_json st);
-      output_char oc '\n';
-      flush oc);
-  Sys.rename tmp path
+let write ?fault ~path st = Dart_util.Persist.write_atomic ?fault ~path (to_json st ^ "\n")
 
 (* Transient conditions resolve by waiting for the writer's next atomic
    rename: the file is momentarily absent (deleted, not yet created) or
@@ -152,21 +98,13 @@ let write ~path st =
    complete read that fails to parse means the file is not (or is no
    longer) a status file. *)
 let read_classified ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match Dart_util.Persist.read_file path with
   | exception Sys_error msg -> Error (`Transient msg)
   | exception End_of_file -> Error (`Transient "truncated status file")
   | contents ->
     let contents = String.trim contents in
     if contents = "" then Error (`Transient "empty status file")
-    else (
-      match of_json contents with
-      | Ok st -> Ok st
-      | Error msg -> Error (`Malformed msg))
+    else Result.map_error (fun msg -> `Malformed msg) (of_json contents)
 
 let read ~path =
   match read_classified ~path with

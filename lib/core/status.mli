@@ -43,8 +43,9 @@ val to_json : t -> string
 
 val of_json : string -> (t, string) result
 
-val write : path:string -> t -> unit
-(** Atomic snapshot write: [path ^ ".tmp"] then rename. *)
+val write : ?fault:Dart_util.Faultsim.t -> path:string -> t -> unit
+(** {!Dart_util.Persist.write_atomic} of the snapshot line; [fault]
+    arms its [Io_error] probe. *)
 
 val read : path:string -> (t, string) result
 (** Read and parse a status file; [Error] carries a one-line reason

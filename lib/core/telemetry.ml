@@ -199,279 +199,64 @@ let ns_to_string ns =
 
 (* ---- JSONL codec ------------------------------------------------------------- *)
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+module J = Dart_util.Persist.Json
 
 let event_to_json ev =
-  let buf = Buffer.create 96 in
-  let field_sep () = Buffer.add_char buf ',' in
-  let key k =
-    add_json_string buf k;
-    Buffer.add_char buf ':'
-  in
-  let str k v =
-    field_sep ();
-    key k;
-    add_json_string buf v
-  in
-  let int k v =
-    field_sep ();
-    key k;
-    Buffer.add_string buf (string_of_int v)
-  in
-  let i64 k v =
-    field_sep ();
-    key k;
-    Buffer.add_string buf (Int64.to_string v)
-  in
-  let bool k v =
-    field_sep ();
-    key k;
-    Buffer.add_string buf (if v then "true" else "false")
-  in
-  let tag name =
-    Buffer.add_char buf '{';
-    key "ev";
-    add_json_string buf name
-  in
-  (match ev with
-   | Run_start { run } ->
-     tag "run_start";
-     int "run" run
-   | Run_end { run; outcome; steps; dur_ns } ->
-     tag "run_end";
-     int "run" run;
-     str "outcome" outcome;
-     int "steps" steps;
-     i64 "ns" dur_ns
-   | Branch_taken { fn; pc; dir } ->
-     tag "branch";
-     str "fn" fn;
-     int "pc" pc;
-     bool "dir" dir
-   | Solve_query { fn; pc; result; dur_ns; cache_hit; sliced } ->
-     tag "solve";
-     str "fn" fn;
-     int "pc" pc;
-     str "result" (solve_result_to_string result);
-     i64 "ns" dur_ns;
-     bool "cache_hit" cache_hit;
-     int "sliced" sliced
-   | Input_update { id; value } ->
-     tag "input";
-     int "id" id;
-     int "value" value
-   | Restart { restarts } ->
-     tag "restart";
-     int "restarts" restarts
-   | Bug_found { fn; pc; fault; run } ->
-     tag "bug";
-     str "fn" fn;
-     int "pc" pc;
-     str "fault" fault;
-     int "run" run
-   | Worker_spawn { worker; seed } ->
-     tag "worker_spawn";
-     int "worker" worker;
-     int "seed" seed
-   | Worker_drain { worker; runs } ->
-     tag "worker_drain";
-     int "worker" worker;
-     int "runs" runs
-   | Worker_crash { worker; reason; respawned } ->
-     tag "worker_crash";
-     int "worker" worker;
-     str "reason" reason;
-     bool "respawned" respawned
-   | Checkpoint_saved { run } ->
-     tag "checkpoint";
-     int "run" run
-   | Phase_total { phase; dur_ns } ->
-     tag "phase";
-     str "phase" (phase_to_string phase);
-     i64 "ns" dur_ns
-   | Cover_point { run; covered; elapsed_ns } ->
-     tag "cover";
-     int "run" run;
-     int "covered" covered;
-     i64 "ns" elapsed_ns
-   | Target_scheduled { target; round } ->
-     tag "target_scheduled";
-     str "target" target;
-     int "round" round
-   | Slice_end { target; round; outcome; runs; dur_ns } ->
-     tag "slice_end";
-     str "target" target;
-     int "round" round;
-     str "outcome" outcome;
-     int "runs" runs;
-     i64 "ns" dur_ns
-   | Target_retired { target; reason } ->
-     tag "target_retired";
-     str "target" target;
-     str "reason" reason
-   | Round_end { round; active; dur_ns } ->
-     tag "round_end";
-     int "round" round;
-     int "active" active;
-     i64 "ns" dur_ns
-   | Breaker_open { fn; pc } ->
-     tag "breaker_open";
-     str "fn" fn;
-     int "pc" pc
-   | Breaker_close { fn; pc } ->
-     tag "breaker_close";
-     str "fn" fn;
-     int "pc" pc);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
-(* Minimal parser for the flat objects emitted above: string, integer
-   and boolean values only, no nesting. *)
-
-exception Bad of string
-
-type jval =
-  | Jstr of string
-  | Jint of int64
-  | Jbool of bool
-
-let parse_flat_object s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t' || s.[!pos] = '\r') do
-      advance ()
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> raise (Bad (Printf.sprintf "expected %C at offset %d" c !pos))
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then raise (Bad "unterminated string")
-      else begin
-        let c = s.[!pos] in
-        advance ();
-        match c with
-        | '"' -> Buffer.contents buf
-        | '\\' ->
-          (if !pos >= n then raise (Bad "unterminated escape");
-           let e = s.[!pos] in
-           advance ();
-           match e with
-           | '"' -> Buffer.add_char buf '"'
-           | '\\' -> Buffer.add_char buf '\\'
-           | '/' -> Buffer.add_char buf '/'
-           | 'n' -> Buffer.add_char buf '\n'
-           | 't' -> Buffer.add_char buf '\t'
-           | 'r' -> Buffer.add_char buf '\r'
-           | 'u' ->
-             if !pos + 4 > n then raise (Bad "truncated \\u escape");
-             let hex = String.sub s !pos 4 in
-             pos := !pos + 4;
-             (match int_of_string_opt ("0x" ^ hex) with
-              | Some code when code < 256 -> Buffer.add_char buf (Char.chr code)
-              | Some _ -> Buffer.add_char buf '?'
-              | None -> raise (Bad "bad \\u escape"))
-           | _ -> raise (Bad (Printf.sprintf "bad escape \\%c" e)));
-          go ()
-        | c ->
-          Buffer.add_char buf c;
-          go ()
-      end
-    in
-    go ()
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (parse_string ())
-    | Some 't' ->
-      if !pos + 4 <= n && String.sub s !pos 4 = "true" then begin
-        pos := !pos + 4;
-        Jbool true
-      end
-      else raise (Bad "bad literal")
-    | Some 'f' ->
-      if !pos + 5 <= n && String.sub s !pos 5 = "false" then begin
-        pos := !pos + 5;
-        Jbool false
-      end
-      else raise (Bad "bad literal")
-    | Some ('-' | '0' .. '9') ->
-      let start = !pos in
-      if peek () = Some '-' then advance ();
-      while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
-        advance ()
-      done;
-      (match Int64.of_string_opt (String.sub s start (!pos - start)) with
-       | Some v -> Jint v
-       | None -> raise (Bad "bad integer"))
-    | _ -> raise (Bad (Printf.sprintf "unexpected value at offset %d" !pos))
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if peek () = Some '}' then advance ()
-  else begin
-    let rec members () =
-      skip_ws ();
-      let k = parse_string () in
-      expect ':';
-      let v = parse_value () in
-      fields := (k, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | Some ',' ->
-        advance ();
-        members ()
-      | Some '}' -> advance ()
-      | _ -> raise (Bad "expected ',' or '}'")
-    in
-    members ()
-  end;
-  skip_ws ();
-  if !pos <> n then raise (Bad "trailing garbage after object");
-  List.rev !fields
+  let int v = J.Int (Int64.of_int v) in
+  let obj tag fields = J.flat_object (("ev", J.Str tag) :: fields) in
+  match ev with
+  | Run_start { run } -> obj "run_start" [ ("run", int run) ]
+  | Run_end { run; outcome; steps; dur_ns } ->
+    obj "run_end"
+      [ ("run", int run); ("outcome", J.Str outcome); ("steps", int steps); ("ns", J.Int dur_ns) ]
+  | Branch_taken { fn; pc; dir } ->
+    obj "branch" [ ("fn", J.Str fn); ("pc", int pc); ("dir", J.Bool dir) ]
+  | Solve_query { fn; pc; result; dur_ns; cache_hit; sliced } ->
+    obj "solve"
+      [ ("fn", J.Str fn);
+        ("pc", int pc);
+        ("result", J.Str (solve_result_to_string result));
+        ("ns", J.Int dur_ns);
+        ("cache_hit", J.Bool cache_hit);
+        ("sliced", int sliced) ]
+  | Input_update { id; value } -> obj "input" [ ("id", int id); ("value", int value) ]
+  | Restart { restarts } -> obj "restart" [ ("restarts", int restarts) ]
+  | Bug_found { fn; pc; fault; run } ->
+    obj "bug" [ ("fn", J.Str fn); ("pc", int pc); ("fault", J.Str fault); ("run", int run) ]
+  | Worker_spawn { worker; seed } ->
+    obj "worker_spawn" [ ("worker", int worker); ("seed", int seed) ]
+  | Worker_drain { worker; runs } ->
+    obj "worker_drain" [ ("worker", int worker); ("runs", int runs) ]
+  | Worker_crash { worker; reason; respawned } ->
+    obj "worker_crash"
+      [ ("worker", int worker); ("reason", J.Str reason); ("respawned", J.Bool respawned) ]
+  | Checkpoint_saved { run } -> obj "checkpoint" [ ("run", int run) ]
+  | Phase_total { phase; dur_ns } ->
+    obj "phase" [ ("phase", J.Str (phase_to_string phase)); ("ns", J.Int dur_ns) ]
+  | Cover_point { run; covered; elapsed_ns } ->
+    obj "cover" [ ("run", int run); ("covered", int covered); ("ns", J.Int elapsed_ns) ]
+  | Target_scheduled { target; round } ->
+    obj "target_scheduled" [ ("target", J.Str target); ("round", int round) ]
+  | Slice_end { target; round; outcome; runs; dur_ns } ->
+    obj "slice_end"
+      [ ("target", J.Str target);
+        ("round", int round);
+        ("outcome", J.Str outcome);
+        ("runs", int runs);
+        ("ns", J.Int dur_ns) ]
+  | Target_retired { target; reason } ->
+    obj "target_retired" [ ("target", J.Str target); ("reason", J.Str reason) ]
+  | Round_end { round; active; dur_ns } ->
+    obj "round_end" [ ("round", int round); ("active", int active); ("ns", J.Int dur_ns) ]
+  | Breaker_open { fn; pc } -> obj "breaker_open" [ ("fn", J.Str fn); ("pc", int pc) ]
+  | Breaker_close { fn; pc } -> obj "breaker_close" [ ("fn", J.Str fn); ("pc", int pc) ]
 
 let event_of_json line =
+  let bad = Dart_util.Persist.bad in
   try
-    let fields = parse_flat_object line in
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (Jstr s) -> s
-      | _ -> raise (Bad (Printf.sprintf "missing string field %S" k))
-    in
-    let i64 k =
-      match List.assoc_opt k fields with
-      | Some (Jint v) -> v
-      | _ -> raise (Bad (Printf.sprintf "missing integer field %S" k))
-    in
-    let int k = Int64.to_int (i64 k) in
-    let bool k =
-      match List.assoc_opt k fields with
-      | Some (Jbool b) -> b
-      | _ -> raise (Bad (Printf.sprintf "missing boolean field %S" k))
-    in
+    let fields = J.parse_flat line in
+    let str = J.str fields and int = J.int fields and i64 = J.i64 fields
+    and bool = J.bool fields in
     let ev =
       match str "ev" with
       | "run_start" -> Run_start { run = int "run" }
@@ -483,7 +268,7 @@ let event_of_json line =
         let result =
           match solve_result_of_string (str "result") with
           | Some r -> r
-          | None -> raise (Bad "bad solve result")
+          | None -> bad "bad solve result"
         in
         Solve_query
           { fn = str "fn";
@@ -506,7 +291,7 @@ let event_of_json line =
         let phase =
           match phase_of_string (str "phase") with
           | Some p -> p
-          | None -> raise (Bad "bad phase name")
+          | None -> bad "bad phase name"
         in
         Phase_total { phase; dur_ns = i64 "ns" }
       | "cover" ->
@@ -525,10 +310,10 @@ let event_of_json line =
         Round_end { round = int "round"; active = int "active"; dur_ns = i64 "ns" }
       | "breaker_open" -> Breaker_open { fn = str "fn"; pc = int "pc" }
       | "breaker_close" -> Breaker_close { fn = str "fn"; pc = int "pc" }
-      | other -> raise (Bad (Printf.sprintf "unknown event kind %S" other))
+      | other -> bad "unknown event kind %S" other
     in
     Ok ev
-  with Bad msg -> Error msg
+  with Dart_util.Persist.Bad msg -> Error msg
 
 (* ---- sinks -------------------------------------------------------------------- *)
 
@@ -946,7 +731,3 @@ let default_config =
   { sink = null; worker_buffer = 1 lsl 20; status_path = None; status_every = 100 }
 
 let with_sink sink = { default_config with sink }
-
-(* Re-exported flat-object parser so [Status] (and tests) can read the
-   status-file schema without a second JSON parser. *)
-let parse_flat line = try Ok (parse_flat_object line) with Bad msg -> Error msg

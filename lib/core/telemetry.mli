@@ -141,23 +141,12 @@ val event_to_json : event -> string
     selects the variant): [run_start], [run_end], [branch], [solve],
     [input], [restart], [bug], [worker_spawn], [worker_drain],
     [worker_crash], [checkpoint], [phase], [cover], [target_scheduled],
-    [slice_end], [target_retired], [round_end]. *)
+    [slice_end], [target_retired], [round_end], [breaker_open],
+    [breaker_close]. Spelled by {!Dart_util.Persist.Json.flat_object}. *)
 
 val event_of_json : string -> (event, string) result
 (** Inverse of {!event_to_json}; [Error] explains the first schema
     violation found. *)
-
-(** Flat JSON values as produced by the codec above: strings, integers
-    and booleans only, no nesting. Shared with the status-file schema
-    ({!Status}). *)
-type jval =
-  | Jstr of string
-  | Jint of int64
-  | Jbool of bool
-
-val parse_flat : string -> ((string * jval) list, string) result
-(** Parse one flat JSON object into its fields, in source order.
-    [Error] explains the first syntax violation. *)
 
 (** {1 Latency histograms}
 

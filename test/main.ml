@@ -13,6 +13,7 @@ let () =
       ("concolic", Test_concolic.suite);
       ("telemetry", Test_telemetry.suite);
       ("status", Test_status.suite);
+      ("golden", Test_golden.suite);
       ("profile", Test_profile.suite);
       ("cover", Test_cover.suite);
       ("driver", Test_driver.suite);

@@ -382,6 +382,12 @@ let with_snapshot f =
   | [] -> Alcotest.fail "no checkpoint was taken"
   | first :: _ -> f ~options ~prog ~full ~snapshot:first
 
+let replace_first ~sub ~by text =
+  let n = String.length sub in
+  let rec find i = if String.sub text i n = sub then i else find (i + 1) in
+  let i = find 0 in
+  String.sub text 0 i ^ by ^ String.sub text (i + n) (String.length text - i - n)
+
 let test_checkpoint_roundtrip () =
   with_snapshot (fun ~options ~prog:_ ~full:_ ~snapshot ->
       let meta = Dart.Checkpoint.meta_of_options options in
@@ -408,7 +414,44 @@ let test_checkpoint_roundtrip () =
            (String.split_on_char '\n' text)))
        with
        | Ok _ -> Alcotest.fail "truncated checkpoint accepted"
-       | Error _ -> ()))
+       | Error _ -> ());
+      (* A negative section count is a load error, not an exception. *)
+      let n = List.length snapshot.Dart.Driver.sn_coverage in
+      match
+        Dart.Checkpoint.of_string
+          (replace_first ~sub:(Printf.sprintf "\ncoverage %d\n" n) ~by:"\ncoverage -1\n" text)
+      with
+      | Ok _ -> Alcotest.fail "negative count accepted"
+      | Error _ -> ())
+
+(* Edit one line of a real checkpoint; the load must fail naming [key]
+   instead of handing [Solver.of_assoc] a counter it rejects by raising
+   (unknown name) or silently letting the last copy win (duplicate). *)
+let check_stat_rejected ~what edit key =
+  with_snapshot (fun ~options ~prog:_ ~full:_ ~snapshot ->
+      let meta = Dart.Checkpoint.meta_of_options options in
+      let text = Dart.Checkpoint.to_string meta snapshot in
+      Alcotest.(check bool) "fixture has the queries counter" true
+        (Str_contains.contains text "\nstat queries ");
+      match Dart.Checkpoint.of_string (edit text) with
+      | Ok _ -> Alcotest.failf "%s stat counter accepted" what
+      | Error e ->
+        Alcotest.(check bool) (Printf.sprintf "error %S names %s" e key) true
+          (Str_contains.contains e what && Str_contains.contains e key))
+
+let test_checkpoint_unknown_stat () =
+  check_stat_rejected ~what:"unknown"
+    (replace_first ~sub:"\nstat queries " ~by:"\nstat bogus ")
+    "bogus"
+
+let test_checkpoint_duplicate_stat () =
+  check_stat_rejected ~what:"duplicate"
+    (fun text ->
+      let n = List.length (Solver.to_assoc (Solver.create_stats ())) in
+      replace_first ~sub:(Printf.sprintf "\nstats %d\n" n)
+        ~by:(Printf.sprintf "\nstats %d\nstat queries 99\n" (n + 1))
+        text)
+    "queries"
 
 let test_checkpoint_meta_guard () =
   let meta m_seed m_strategy =
@@ -602,6 +645,9 @@ let suite =
       test_forced_unknown_incremental_matches_fresh;
     Alcotest.test_case "checkpoint codec roundtrip" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "checkpoint meta guard" `Quick test_checkpoint_meta_guard;
+    Alcotest.test_case "checkpoint rejects unknown stat" `Quick test_checkpoint_unknown_stat;
+    Alcotest.test_case "checkpoint rejects duplicate stat" `Quick
+      test_checkpoint_duplicate_stat;
     Alcotest.test_case "checkpoint file atomicity" `Quick test_checkpoint_file_atomicity;
     Alcotest.test_case "resume reaches same state" `Quick test_resume_reaches_same_state;
     Alcotest.test_case "resume through serialization" `Quick test_resume_through_serialization;

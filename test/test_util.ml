@@ -1,4 +1,5 @@
-(* PRNG determinism/ranges and 32-bit word semantics. *)
+(* PRNG determinism/ranges, 32-bit word semantics, CRC-32 and the
+   persisted-format escapers. *)
 
 open Dart_util
 
@@ -124,9 +125,23 @@ let test_crc32_hex () =
         (Crc32.of_hex bad = None))
     [ ""; "cbf4392"; "cbf439260"; "cbf4392g"; " bf43926" ]
 
+let test_persist_bad_escapes () =
+  List.iter
+    (fun bad ->
+      match Persist.Lines.unesc bad with
+      | exception Persist.Bad _ -> ()
+      | s -> Alcotest.failf "%S accepted as %S" bad s)
+    [ "%"; "%4"; "a%4"; "%zz"; "%4g"; "%_1"; "%+1"; "%-1"; "x%0" ]
+
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:500 ~name gen f)
 
 let word_gen = QCheck2.Gen.int_range Word32.min_value Word32.max_value
+
+(* Arbitrary bytes, weighted towards the ones the escapers rewrite. *)
+let bytes_gen =
+  QCheck2.Gen.(
+    let special = oneofl [ ' '; '%'; '\n'; '\t'; '\r'; '"'; '\\'; '\x00'; '\x7f'; '\xff' ] in
+    string_size ~gen:(frequency [ (3, char); (2, special) ]) (int_bound 24))
 
 let properties =
   [ prop "norm idempotent" QCheck2.Gen.int (fun v -> Word32.norm (Word32.norm v) = Word32.norm v);
@@ -144,7 +159,16 @@ let properties =
       (fun (v, k) ->
         let open Zarith_lite in
         let shift = Zint.mul (Zint.of_int k) (Zint.pow Zint.two 40) in
-        Word32.of_zint_trunc (Zint.add (Zint.of_int v) shift) = Word32.norm v) ]
+        Word32.of_zint_trunc (Zint.add (Zint.of_int v) shift) = Word32.norm v);
+    prop "persist %-escape roundtrip, separator-free" bytes_gen (fun s ->
+        let e = Persist.Lines.esc s in
+        Persist.Lines.unesc e = s
+        && not (String.exists (fun c -> String.contains " \n\t\r" c) e));
+    prop "persist flat JSON roundtrip" bytes_gen (fun s ->
+        let fields =
+          [ (s, Persist.Json.Str s); ("n", Persist.Json.Int (Int64.of_int (String.length s))) ]
+        in
+        Persist.Json.parse_flat (Persist.Json.flat_object fields) = fields) ]
 
 let suite =
   [ Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
@@ -158,5 +182,6 @@ let suite =
     Alcotest.test_case "word32 shift edge cases" `Quick test_word32_shift_edges;
     Alcotest.test_case "word32 zint bridge" `Quick test_word32_zint;
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
-    Alcotest.test_case "crc32 hex codec" `Quick test_crc32_hex ]
+    Alcotest.test_case "crc32 hex codec" `Quick test_crc32_hex;
+    Alcotest.test_case "persist rejects malformed %-escapes" `Quick test_persist_bad_escapes ]
   @ properties
