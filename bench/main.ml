@@ -537,8 +537,7 @@ let experiment_accel_ablation () =
       ~measured:
         (String.concat ", "
            (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (Solver.to_assoc sa)
-            @ [ Printf.sprintf "incremental_hits=%d" (Solver.incremental_hits sa);
-                Printf.sprintf "pops_saved=%d" (Solver.pops_saved sa) ]
+            @ [ Printf.sprintf "pops_saved=%d" (Solver.pops_saved sa) ]
             @ List.map
                 (fun (k, v) -> Printf.sprintf "%s=%.3f" k v)
                 (Dart.Telemetry.metrics_to_assoc accel.Dart.Driver.metrics)))
@@ -556,49 +555,42 @@ let experiment_accel_ablation () =
   end
   else print_endline "(NS depth 3 skipped in --quick mode)"
 
-(* ---- E16: shared cross-worker solve store -------------------------------------- *)
+(* ---- E16: shared solve cache ------------------------------------------------- *)
 
-(* Jobs scaling with globally counted cache hits: the shared store lets
-   any worker answer any worker's query, so the merged hit counter is a
-   fleet-wide number instead of a sum of private hoards, and the pooled
-   run budget keeps every worker busy until the whole pool drains. The
-   ablation (--no-shared-cache) must agree on verdict and bug set at
-   every job count — the store is an acceleration, not a search change. *)
-let experiment_shared_store () =
-  header "E16: shared cross-worker solve store (pooled budget, global hit accounting)";
+(* Jobs scaling with globally counted cache hits: the workers of a
+   parallel search share one solve cache, so any worker answers any
+   worker's query and the merged hit counter is a fleet-wide number;
+   the pooled run budget keeps every worker busy until the pool
+   drains. Every job count must agree with jobs=1 on the bug set — the
+   shared cache is an acceleration, not a search change. *)
+let experiment_shared_cache () =
+  header "E16: shared solve cache (pooled budget, global hit accounting)";
   let ac_src, ac_top = Workloads.Paper_examples.ac_controller in
   let prog =
     Dart.Driver.prepare ~toplevel:ac_top ~depth:3 (Minic.Parser.parse_program ac_src)
   in
   let budget = if !quick then 400 else 2_000 in
-  let run ~jobs ~use_shared_cache =
-    let base =
-      Dart.Driver.Options.make ~depth:3 ~max_runs:budget ~stop_on_first_bug:false
-        ~use_shared_cache ()
-    in
+  let run ~jobs =
+    let base = Dart.Driver.Options.make ~depth:3 ~max_runs:budget ~stop_on_first_bug:false () in
     time_it (fun () -> Dart.Parallel.run ~options:(Dart.Parallel.options ~jobs base) prog)
   in
   let bug_keys (r : Dart.Parallel.report) =
     List.sort_uniq compare
       (List.map Dart.Driver.bug_key r.Dart.Parallel.merged.Dart.Driver.bugs)
   in
+  let solo, _ = run ~jobs:1 in
   List.iter
     (fun jobs ->
-      let on, t_on = run ~jobs ~use_shared_cache:true in
-      let off, t_off = run ~jobs ~use_shared_cache:false in
-      let s_on = on.Dart.Parallel.merged.Dart.Driver.solver_stats in
-      let s_off = off.Dart.Parallel.merged.Dart.Driver.solver_stats in
+      let r, t = run ~jobs in
+      let st = r.Dart.Parallel.merged.Dart.Driver.solver_stats in
       row
         ~id:(Printf.sprintf "e16-jobs-%d" jobs)
         ~desc:(Printf.sprintf "AC controller depth 3, %d pooled runs, %d workers" budget jobs)
         ~paper:"n/a (our extension; exactness required)"
         ~measured:
-          (Printf.sprintf
-             "shared: %d queries, %d hits (%d from peers), %.2fs; private: %d queries, %d \
-              hits, %.2fs; same bugs: %b"
-             (Solver.queries s_on) (Solver.cache_hits s_on) (Solver.shared_hits s_on) t_on
-             (Solver.queries s_off) (Solver.cache_hits s_off) t_off
-             (bug_keys on = bug_keys off)))
+          (Printf.sprintf "%d queries, %d hits (%d from peers), %.2fs; same bugs as jobs=1: %b"
+             (Solver.queries st) (Solver.cache_hits st) (Solver.shared_hits st) t
+             (bug_keys r = bug_keys solo)))
     [ 1; 2; 4 ]
 
 (* ---- E17: whole-library campaign (paper section 4.3 as a workflow) ------------- *)
@@ -1125,7 +1117,7 @@ let experiments =
     ("e13", experiment_accel_ablation);
     ("e14", experiment_coverage_trajectory);
     ("e15", experiment_exec_throughput);
-    ("e16", experiment_shared_store);
+    ("e16", experiment_shared_cache);
     ("e17", experiment_campaign);
     ("e18", experiment_observability);
     ("e19", experiment_chaos_soak);

@@ -62,8 +62,9 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Parallel search workers: shard the run budget across N domains (0 = one per \
-           core). The deduped bug set and verdict match --jobs 1.")
+          "Parallel workers: N domains (0 = one per core). The workers of one directed \
+           search share a solve cache and a pooled run budget. The deduped bug set and \
+           verdict match --jobs 1.")
 
 let portfolio_arg =
   Arg.(
@@ -75,25 +76,8 @@ let no_cache_arg =
   Arg.(
     value & flag
     & info [ "no-cache" ]
-        ~doc:"Ablation: disable the solve cache (every query hits the solver; \
-              also disables the shared cross-worker store, which reuses its entries).")
-
-let no_incremental_arg =
-  Arg.(
-    value & flag
-    & info [ "no-incremental" ]
-        ~doc:
-          "Ablation: disable push/pop incremental solving (every query rebuilds the solver \
-           pipeline from scratch). Results are identical; only solve time changes.")
-
-let no_shared_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-shared-cache" ]
-        ~doc:
-          "Ablation: with --jobs > 1, give every worker a private solve cache and a fixed \
-           budget shard instead of the shared cross-worker store and pooled budget. No \
-           effect at --jobs 1.")
+        ~doc:"Ablation: disable the solve cache (every query hits the solver; with \
+              --jobs > 1 the workers then share no cache either).")
 
 let no_slicing_arg =
   Arg.(
@@ -248,11 +232,12 @@ let usage_error msg =
 (* Conflicting-flag validation, as one declarative table: first row
    whose predicate fires wins, its message goes out with exit 2. Add
    new conflicts here, not as ad-hoc if/else chains in the driver. *)
-let validate ~jobs ~portfolio ~strategy ~random_mode ~all_bugs ~no_cache ~no_slicing
-    ~no_incremental ~no_shared_cache ~no_breaker ~time_budget ~solver_timeout ~checkpoint
-    ~checkpoint_every ~resume ~faultsim ~status =
+let validate ~depth ~jobs ~portfolio ~strategy ~random_mode ~all_bugs ~no_cache ~no_slicing
+    ~no_breaker ~time_budget ~solver_timeout ~checkpoint ~checkpoint_every ~resume ~faultsim
+    ~status =
   let table =
-    [ (jobs < 0, "--jobs must be >= 0");
+    [ (depth < 1, "--depth must be positive");
+      (jobs < 0, "--jobs must be >= 0");
       ( portfolio && strategy <> None,
         (* A portfolio cycles workers through its own strategy list: an
            explicit --strategy would be silently overridden. *)
@@ -267,8 +252,6 @@ let validate ~jobs ~portfolio ~strategy ~random_mode ~all_bugs ~no_cache ~no_sli
       (random_mode && jobs <> 1, "--jobs is not supported with --random-testing");
       ( random_mode && (no_cache || no_slicing),
         "--no-cache/--no-slicing have no effect with --random-testing" );
-      ( random_mode && (no_incremental || no_shared_cache),
-        "--no-incremental/--no-shared-cache have no effect with --random-testing" );
       ( random_mode && no_breaker,
         "--no-breaker has no effect with --random-testing (no solver)" );
       ( (match time_budget with Some s -> s <= 0.0 | None -> false),
@@ -332,159 +315,154 @@ let install_signal_handlers () =
   try Sys.set_signal Sys.sigterm handle with Invalid_argument _ | Sys_error _ -> ()
 
 let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_ptrs all_bugs
-    jobs portfolio no_cache no_slicing no_incremental no_shared_cache no_breaker no_compile
-    time_budget solver_timeout checkpoint checkpoint_every resume faultsim faultsim_seed
-    trace status metrics_flag show_interface show_driver dump_ram coverage =
+    jobs portfolio no_cache no_slicing no_breaker no_compile time_budget solver_timeout
+    checkpoint checkpoint_every resume faultsim faultsim_seed trace status metrics_flag
+    show_interface show_driver dump_ram coverage =
   try
     let src = Dart_util.Persist.read_file file in
     let ast = Minic.Parser.parse_program ~file src in
-    if show_interface then begin
-      let typed = Minic.Typecheck.check ast in
-      print_string (Dart.Interface.to_string (Dart.Interface.extract typed ~toplevel));
-      0
-    end
-    else if show_driver then begin
-      print_string (Dart.Driver_gen.driver_source ast ~toplevel ~depth);
-      0
-    end
-    else begin
-      match
-        validate ~jobs ~portfolio ~strategy ~random_mode ~all_bugs ~no_cache ~no_slicing
-          ~no_incremental ~no_shared_cache ~no_breaker ~time_budget ~solver_timeout
-          ~checkpoint ~checkpoint_every ~resume ~faultsim ~status
-      with
-      | Some msg -> usage_error msg
-      | None ->
-        if dump_ram then begin
-          let prog = Dart.Driver.prepare ~toplevel ~depth ast in
-          Hashtbl.iter
-            (fun _ f -> print_string (Ram.Instr.func_to_string f))
-            prog.Ram.Instr.funcs;
-          0
-        end
-        else begin
-          match
-            match faultsim with
-            | None -> Ok Dart_util.Faultsim.off
-            | Some spec -> Dart_util.Faultsim.of_spec ~seed:faultsim_seed spec
-          with
-          | Error msg -> usage_error (Printf.sprintf "--faultsim: %s" msg)
-          | Ok fs ->
-            with_trace_sink trace @@ fun sink ->
-            install_signal_handlers ();
-            (* Preparation (driver generation, typecheck, lowering) is
-               timed into the Lower phase of the same metrics record the
-               search will use, so --metrics accounts for the whole
-               pipeline. The Session/Target/Engine API does the rest of
-               the plumbing this driver used to do inline. *)
-            let prep = Dart.Telemetry.create_metrics () in
-            let print_metrics m =
-              if metrics_flag then begin
-                print_endline (Dart.Telemetry.metrics_to_string m);
-                (* Latency distributions ride with --metrics only: the
-                   plain report stays byte-identical. *)
-                print_endline (Dart.Telemetry.latency_to_string m)
-              end
-            in
-            let options =
-              Dart.Driver.Options.make ~seed ~depth ~max_runs
-                ~strategy:(Option.value ~default:Dart.Strategy.Dfs strategy)
-                ~stop_on_first_bug:(not all_bugs) ~use_cache:(not no_cache)
-                ~use_slicing:(not no_slicing) ~use_incremental:(not no_incremental)
-                ~use_shared_cache:(not no_shared_cache) ~use_breaker:(not no_breaker)
-                ?time_budget_ns:(Option.map ns_of_seconds time_budget)
-                ?solver_deadline_ns:(Option.map ns_of_ms solver_timeout)
-                ~exec:
-                  { Dart.Concolic.default_exec_options with
-                    symbolic_pointers = symbolic_ptrs;
-                    compile = not no_compile }
-                ~telemetry:
-                  { (Dart.Telemetry.with_sink sink) with
-                    Dart.Telemetry.status_path = status }
-                ~faultsim:fs ()
-            in
-            let portfolio =
-              if portfolio then
-                [ Dart.Strategy.Dfs; Dart.Strategy.Random_branch; Dart.Strategy.Bfs ]
-              else []
-            in
-            let session = Dart.Session.create ~jobs ~portfolio ~options () in
-            let target = Dart.Target.of_ast ~toplevel ast in
-            if random_mode then begin
-              match Dart.Engine.run ~mode:`Random ~metrics:prep session target with
-              | Dart.Engine.Directed_report _ | Dart.Engine.Parallel_report _ ->
-                assert false
-              | Dart.Engine.Random_report report as outcome ->
-                print_endline (Dart.Random_search.report_to_string report);
-                print_metrics prep;
-                if coverage then
-                  print_coverage
-                    (Dart.Session.prepare session target)
-                    report.Dart.Random_search.coverage_sites;
-                Dart.Engine.exit_code outcome
+    match
+      validate ~depth ~jobs ~portfolio ~strategy ~random_mode ~all_bugs ~no_cache ~no_slicing
+        ~no_breaker ~time_budget ~solver_timeout ~checkpoint ~checkpoint_every ~resume
+        ~faultsim ~status
+    with
+    | Some msg -> usage_error msg
+    | None ->
+      if show_interface then begin
+        let typed = Minic.Typecheck.check ast in
+        print_string (Dart.Interface.to_string (Dart.Interface.extract typed ~toplevel));
+        0
+      end
+      else if show_driver then begin
+        print_string (Dart.Driver_gen.driver_source ast ~toplevel ~depth);
+        0
+      end
+      else if dump_ram then begin
+        let prog = Dart.Driver.prepare ~toplevel ~depth ast in
+        Hashtbl.iter
+          (fun _ f -> print_string (Ram.Instr.func_to_string f))
+          prog.Ram.Instr.funcs;
+        0
+      end
+      else begin
+        match
+          match faultsim with
+          | None -> Ok Dart_util.Faultsim.off
+          | Some spec -> Dart_util.Faultsim.of_spec ~seed:faultsim_seed spec
+        with
+        | Error msg -> usage_error (Printf.sprintf "--faultsim: %s" msg)
+        | Ok fs ->
+          with_trace_sink trace @@ fun sink ->
+          install_signal_handlers ();
+          (* Preparation (driver generation, typecheck, lowering) is
+             timed into the Lower phase of the same metrics record the
+             search will use, so --metrics accounts for the whole
+             pipeline. The Session/Target/Engine API does the rest of
+             the plumbing this driver used to do inline. *)
+          let prep = Dart.Telemetry.create_metrics () in
+          let print_metrics m =
+            if metrics_flag then begin
+              print_endline (Dart.Telemetry.metrics_to_string m);
+              (* Latency distributions ride with --metrics only: the
+                 plain report stays byte-identical. *)
+              print_endline (Dart.Telemetry.latency_to_string m)
             end
-            else begin
-              let meta = Dart.Checkpoint.meta_of_options options in
-              let resume_snapshot =
-                match resume with
-                | None -> Ok None
-                | Some path ->
-                  (match Dart.Checkpoint.load ~path with
-                   | Error msg -> Error (Printf.sprintf "--resume %s: %s" path msg)
-                   | Ok (found, snap) ->
-                     (match Dart.Checkpoint.check_meta ~expected:meta ~found with
-                      | Error msg -> Error (Printf.sprintf "--resume %s: %s" path msg)
-                      | Ok () -> Ok (Some snap)))
+          in
+          let options =
+            Dart.Driver.Options.make ~seed ~depth ~max_runs
+              ~strategy:(Option.value ~default:Dart.Strategy.Dfs strategy)
+              ~stop_on_first_bug:(not all_bugs) ~use_cache:(not no_cache)
+              ~use_slicing:(not no_slicing) ~use_breaker:(not no_breaker)
+              ?time_budget_ns:(Option.map ns_of_seconds time_budget)
+              ?solver_deadline_ns:(Option.map ns_of_ms solver_timeout)
+              ~exec:
+                { Dart.Concolic.default_exec_options with
+                  symbolic_pointers = symbolic_ptrs;
+                  compile = not no_compile }
+              ~telemetry:
+                { (Dart.Telemetry.with_sink sink) with
+                  Dart.Telemetry.status_path = status }
+              ~faultsim:fs ()
+          in
+          let portfolio =
+            if portfolio then
+              [ Dart.Strategy.Dfs; Dart.Strategy.Random_branch; Dart.Strategy.Bfs ]
+            else []
+          in
+          let session = Dart.Session.create ~jobs ~portfolio ~options () in
+          let target = Dart.Target.of_ast ~toplevel ast in
+          if random_mode then begin
+            match Dart.Engine.run ~mode:`Random ~metrics:prep session target with
+            | Dart.Engine.Directed_report _ | Dart.Engine.Parallel_report _ ->
+              assert false
+            | Dart.Engine.Random_report report as outcome ->
+              print_endline (Dart.Random_search.report_to_string report);
+              print_metrics prep;
+              if coverage then
+                print_coverage
+                  (Dart.Session.prepare session target)
+                  report.Dart.Random_search.coverage_sites;
+              Dart.Engine.exit_code outcome
+          end
+          else begin
+            let meta = Dart.Checkpoint.meta_of_options options in
+            let resume_snapshot =
+              match resume with
+              | None -> Ok None
+              | Some path ->
+                (match Dart.Checkpoint.load ~path with
+                 | Error msg -> Error (Printf.sprintf "--resume %s: %s" path msg)
+                 | Ok (found, snap) ->
+                   (match Dart.Checkpoint.check_meta ~expected:meta ~found with
+                    | Error msg -> Error (Printf.sprintf "--resume %s: %s" path msg)
+                    | Ok () -> Ok (Some snap)))
+            in
+            match resume_snapshot with
+            | Error msg -> usage_error msg
+            | Ok resume_snapshot ->
+              let on_checkpoint =
+                Option.map
+                  (fun path snapshot -> Dart.Checkpoint.save ~path ~meta snapshot)
+                  checkpoint
               in
-              match resume_snapshot with
-              | Error msg -> usage_error msg
-              | Ok resume_snapshot ->
-                let on_checkpoint =
-                  Option.map
-                    (fun path snapshot -> Dart.Checkpoint.save ~path ~meta snapshot)
-                    checkpoint
-                in
-                let outcome =
-                  Dart.Engine.run ?resume:resume_snapshot ?on_checkpoint
-                    ?checkpoint_every ~metrics:prep session target
-                in
-                let report =
-                  match outcome with
-                  | Dart.Engine.Random_report _ -> assert false
-                  | Dart.Engine.Directed_report report ->
-                    print_endline (Dart.Driver.report_to_string report);
-                    report
-                  | Dart.Engine.Parallel_report r ->
-                    print_endline (Dart.Parallel.report_to_string r);
-                    r.Dart.Parallel.merged
-                in
-                print_metrics report.Dart.Driver.metrics;
-                (* Incremental/shared-store counters ride with --metrics:
-                   the plain report stays byte-identical across the
-                   --no-incremental/--no-shared-cache ablations. *)
-                if metrics_flag then begin
-                  let st = report.Dart.Driver.solver_stats in
-                  Printf.printf
-                    "incremental: %d prepared-state hits, %d pops saved, %d shared-store hits\n"
-                    (Solver.incremental_hits st) (Solver.pops_saved st)
-                    (Solver.shared_hits st)
-                end;
-                if coverage then
-                  print_coverage
-                    (Dart.Session.prepare session target)
-                    report.Dart.Driver.coverage_sites;
-                List.iter
-                  (fun (b : Dart.Driver.bug) ->
-                    Printf.printf "  - %s in %s at %s (run %d)\n"
-                      (Machine.fault_to_string b.bug_fault)
-                      b.bug_site.Machine.site_fn
-                      (Minic.Loc.to_string b.bug_site.Machine.site_loc)
-                      b.bug_run)
-                  report.Dart.Driver.bugs;
-                Dart.Engine.exit_code outcome
-            end
-        end
-    end
+              let outcome =
+                Dart.Engine.run ?resume:resume_snapshot ?on_checkpoint
+                  ?checkpoint_every ~metrics:prep session target
+              in
+              let report =
+                match outcome with
+                | Dart.Engine.Random_report _ -> assert false
+                | Dart.Engine.Directed_report report ->
+                  print_endline (Dart.Driver.report_to_string report);
+                  report
+                | Dart.Engine.Parallel_report r ->
+                  print_endline (Dart.Parallel.report_to_string r);
+                  r.Dart.Parallel.merged
+              in
+              print_metrics report.Dart.Driver.metrics;
+              (* Work-avoided counters ride with --metrics: they are
+                 not search results, and shared-cache hits at
+                 --jobs > 1 depend on timing. *)
+              if metrics_flag then begin
+                let st = report.Dart.Driver.solver_stats in
+                Printf.printf "incremental: %d pops saved, %d shared-cache hits\n"
+                  (Solver.pops_saved st) (Solver.shared_hits st)
+              end;
+              if coverage then
+                print_coverage
+                  (Dart.Session.prepare session target)
+                  report.Dart.Driver.coverage_sites;
+              List.iter
+                (fun (b : Dart.Driver.bug) ->
+                  Printf.printf "  - %s in %s at %s (run %d)\n"
+                    (Machine.fault_to_string b.bug_fault)
+                    b.bug_site.Machine.site_fn
+                    (Minic.Loc.to_string b.bug_site.Machine.site_loc)
+                    b.bug_run)
+                report.Dart.Driver.bugs;
+              Dart.Engine.exit_code outcome
+          end
+      end
   with
   | Minic.Lexer.Error (loc, msg) | Minic.Parser.Error (loc, msg)
   | Minic.Typecheck.Error (loc, msg) ->
@@ -618,6 +596,8 @@ let print_timeline summary =
 
 let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out html_out
     timeline =
+  if depth < 1 then usage_error "--depth must be positive"
+  else
   try
     let src = Dart_util.Persist.read_file file in
     let ast = Minic.Parser.parse_program ~file src in
@@ -829,11 +809,12 @@ let no_breaker_campaign_arg =
           "Ablation: disable the per-target solver circuit breaker (every query reaches \
            the solver even at a site that keeps overrunning its deadline).")
 
-let validate_campaign ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_runs
+let validate_campaign ~depth ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_runs
     ~time_budget ~solver_timeout ~list_only ~checkpoint ~resume ~resume_salvage ~chaos
     ~json ~lcov ~html ~trace ~status =
   let table =
-    [ (jobs < 0, "--jobs must be >= 0");
+    [ (depth < 1, "--depth must be positive");
+      (jobs < 0, "--jobs must be >= 0");
       (per_function_runs <= 0, "--per-function-runs must be positive");
       (retire_after <= 0, "--retire-after must be positive");
       (retry_limit <= 0, "--retry-limit must be positive");
@@ -872,7 +853,7 @@ let run_campaign file jobs seed depth max_runs per_function_runs retire_after re
   try
     let src = Dart_util.Persist.read_file file in
     match
-      validate_campaign ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_runs
+      validate_campaign ~depth ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_runs
         ~time_budget ~solver_timeout ~list_only ~checkpoint ~resume ~resume_salvage ~chaos
         ~json ~lcov ~html ~trace ~status
     with
@@ -1116,8 +1097,7 @@ let run_term =
   Term.(
     const run_dartc $ file_arg $ toplevel_arg $ depth_arg $ max_runs_arg $ seed_arg
     $ strategy_arg $ random_mode_arg $ symbolic_ptrs_arg $ all_bugs_arg $ jobs_arg
-    $ portfolio_arg $ no_cache_arg $ no_slicing_arg $ no_incremental_arg
-    $ no_shared_cache_arg $ no_breaker_arg $ no_compile_arg $ time_budget_arg
+    $ portfolio_arg $ no_cache_arg $ no_slicing_arg $ no_breaker_arg $ no_compile_arg $ time_budget_arg
     $ solver_timeout_arg
     $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ faultsim_arg
     $ faultsim_seed_arg $ trace_arg $ status_arg $ metrics_arg $ show_interface_arg

@@ -315,7 +315,9 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
   let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
   let ast = Minic.Parser.parse_program ?file text in
   let targets, skipped = discover ast in
-  if targets = [] then
+  if options.Driver.Options.search.Driver.Options.depth < 1 then
+    Error "depth must be positive (a depth-0 driver never calls its target)"
+  else if targets = [] then
     Error
       "no testable targets discovered (every function is a prototype, a harness helper, \
        or takes non-scalar parameters)"

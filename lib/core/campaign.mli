@@ -141,8 +141,8 @@ val run :
     checkpoint write failures ([Sys_error]: disk full, permissions)
     degrade to a one-time progress warning; the search continues.
 
-    [Error] covers usage-level failures: zero targets discovered, an
-    unreadable or mismatched [resume] file. Parse/typecheck errors
+    [Error] covers usage-level failures: a depth below 1, zero targets
+    discovered, an unreadable or mismatched [resume] file. Parse/typecheck errors
     raise as they do in {!Driver.test_source}.
 
     Observability: when [options.telemetry.sink] is enabled, each slice

@@ -4,15 +4,13 @@
    percent-escaped — so a checkpoint survives inspection with a pager
    and diffs meaningfully in CI artifacts. *)
 
-let version = 2
+let version = 3
 
 type meta = {
   m_seed : int;
   m_depth : int;
   m_max_runs : int;
   m_strategy : Strategy.t;
-  m_incremental : bool;
-  m_shared_cache : bool;
 }
 
 module O = Driver.Options
@@ -21,13 +19,10 @@ let meta_of_options (options : Driver.options) =
   { m_seed = options.O.search.O.seed;
     m_depth = options.O.search.O.depth;
     m_max_runs = options.O.budget.O.max_runs;
-    m_strategy = options.O.search.O.strategy;
-    m_incremental = options.O.accel.O.use_incremental;
-    m_shared_cache = options.O.accel.O.use_shared_cache }
+    m_strategy = options.O.search.O.strategy }
 
 let check_meta ~expected ~found =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let onoff b = if b then "on" else "off" in
   if found.m_seed <> expected.m_seed then
     fail "checkpoint was taken with --seed %d, not %d" found.m_seed expected.m_seed
   else if found.m_depth <> expected.m_depth then
@@ -36,14 +31,6 @@ let check_meta ~expected ~found =
     fail "checkpoint was taken with --strategy %s, not %s"
       (Strategy.to_string found.m_strategy)
       (Strategy.to_string expected.m_strategy)
-  else if found.m_incremental <> expected.m_incremental then
-    fail "checkpoint was taken with incremental solving %s, not %s"
-      (onoff found.m_incremental)
-      (onoff expected.m_incremental)
-  else if found.m_shared_cache <> expected.m_shared_cache then
-    fail "checkpoint was taken with the shared solve store %s, not %s"
-      (onoff found.m_shared_cache)
-      (onoff expected.m_shared_cache)
   else Ok ()
 
 (* ---- records shared with the campaign codec ------------------------------------ *)
@@ -122,10 +109,8 @@ let to_string (meta : meta) (s : Driver.snapshot) =
   let buf = Buffer.create 1024 in
   let line fmt = L.line buf fmt and bit = L.bool_tag in
   write_magic buf Search ~version;
-  line "meta seed=%d depth=%d max_runs=%d strategy=%s incremental=%s shared_cache=%s"
-    meta.m_seed meta.m_depth meta.m_max_runs
-    (Strategy.to_string meta.m_strategy)
-    (bit meta.m_incremental) (bit meta.m_shared_cache);
+  line "meta seed=%d depth=%d max_runs=%d strategy=%s" meta.m_seed meta.m_depth
+    meta.m_max_runs (Strategy.to_string meta.m_strategy);
   line "pending_restart %s" (bit s.Driver.sn_pending_restart);
   line "rng %Ld" s.Driver.sn_rng;
   line "counters runs=%d restarts=%d total_steps=%d paths=%d resource_limited=%d"
@@ -172,12 +157,8 @@ let of_string text =
   try
     read_magic r Search ~version;
     let meta =
-      let get =
-        kv_record "meta"
-          (fun _ v -> v)
-          [ "seed"; "depth"; "max_runs"; "strategy"; "incremental"; "shared_cache" ]
-      in
-      let int k = int "meta" (get k) and bool k = bool "meta" (get k) in
+      let get = kv_record "meta" (fun _ v -> v) [ "seed"; "depth"; "max_runs"; "strategy" ] in
+      let int k = int "meta" (get k) in
       let m_strategy =
         match Strategy.of_string (get "strategy") with
         | Some s -> s
@@ -186,9 +167,7 @@ let of_string text =
       { m_seed = int "seed";
         m_depth = int "depth";
         m_max_runs = int "max_runs";
-        m_strategy;
-        m_incremental = bool "incremental";
-        m_shared_cache = bool "shared_cache" }
+        m_strategy }
     in
     let sn_pending_restart = bool "pending_restart" (L.field r "pending_restart") in
     let sn_rng =

@@ -1,9 +1,9 @@
 (** Versioned on-disk serialization of {!Driver.snapshot}.
 
     A checkpoint file is a self-describing text format (one record per
-    line, [dart-checkpoint v2] magic) carrying the search meta
-    (seed/depth/strategy/run budget/acceleration config — everything
-    the snapshot's determinism depends on) plus the snapshot itself. Writes are atomic
+    line, [dart-checkpoint v3] magic) carrying the search meta
+    (seed/depth/strategy/run budget — everything the snapshot's
+    determinism depends on) plus the snapshot itself. Writes are atomic
     (temp file + rename in the target directory), so a SIGKILL mid-save
     leaves the previous checkpoint intact; loads validate the magic,
     the version and every field (including that every solver counter is
@@ -15,9 +15,9 @@
     shaping it, so resuming with a larger [--max-runs] extends an
     exhausted search.
 
-    The solve cache — private or shared ({!Solver.Store}) — is
-    deliberately not checkpointed (it is a pure accelerator and can be
-    arbitrarily large); a resumed search always starts cold. Because
+    The solve cache is deliberately not checkpointed (it is a pure
+    accelerator and can be arbitrarily large); a resumed search always
+    starts cold. Because
     the solver prefers current IM values when picking among equally
     valid models, a warm cache can return a model a fresh solve would
     not, so a resumed search with caching enabled may take a different
@@ -25,25 +25,20 @@
     to the same coverage. With [--no-cache] (or on restart-free
     searches) resume is exact: every counter of the resumed run equals
     the uninterrupted one. Incremental solving ({!Solver.Incr}) is
-    result-exact, so it never perturbs resume; its configuration is
-    still recorded and checked because flipping it between save and
-    resume would change the hit/miss counters a report prints. *)
+    result-exact, so it never perturbs resume. *)
 
 type meta = {
   m_seed : int;
   m_depth : int;
   m_max_runs : int;
   m_strategy : Strategy.t;
-  m_incremental : bool; (* accel.use_incremental at save time *)
-  m_shared_cache : bool; (* accel.use_shared_cache at save time *)
 }
 
 val meta_of_options : Driver.options -> meta
 
 val check_meta : expected:meta -> found:meta -> (unit, string) result
-(** [Error] names the first mismatching field (seed, depth, strategy,
-    incremental or shared-cache config; [m_max_runs] is informational
-    only). *)
+(** [Error] names the first mismatching field (seed, depth or
+    strategy; [m_max_runs] is informational only). *)
 
 val save : path:string -> meta:meta -> Driver.snapshot -> unit
 (** Atomic: writes [path ^ ".tmp"], then renames over [path].

@@ -15,8 +15,6 @@ module Options = struct
   type accel = {
     use_slicing : bool;
     use_cache : bool;
-    use_incremental : bool;
-    use_shared_cache : bool;
     use_breaker : bool;
   }
 
@@ -49,11 +47,7 @@ module Options = struct
           solver_deadline_ns = None };
       search = { seed = 42; depth = 1; strategy = Strategy.Dfs };
       accel =
-        { use_slicing = true;
-          use_cache = true;
-          use_incremental = true;
-          use_shared_cache = true;
-          use_breaker = true };
+        { use_slicing = true; use_cache = true; use_breaker = true };
       campaign =
         { per_function_runs = 200;
           priority = Frontier_first;
@@ -67,10 +61,7 @@ module Options = struct
       ?(max_runs = default.budget.max_runs) ?(strategy = default.search.strategy)
       ?(stop_on_first_bug = default.budget.stop_on_first_bug) ?time_budget_ns
       ?solver_deadline_ns ?(use_slicing = default.accel.use_slicing)
-      ?(use_cache = default.accel.use_cache)
-      ?(use_incremental = default.accel.use_incremental)
-      ?(use_shared_cache = default.accel.use_shared_cache)
-      ?(use_breaker = default.accel.use_breaker)
+      ?(use_cache = default.accel.use_cache) ?(use_breaker = default.accel.use_breaker)
       ?(per_function_runs = default.campaign.per_function_runs)
       ?(priority = default.campaign.priority)
       ?(retire_after = default.campaign.retire_after)
@@ -78,7 +69,7 @@ module Options = struct
       ?(telemetry = default.telemetry) ?(faultsim = Dart_util.Faultsim.off) () =
     { budget = { max_runs; stop_on_first_bug; time_budget_ns; solver_deadline_ns };
       search = { seed; depth; strategy };
-      accel = { use_slicing; use_cache; use_incremental; use_shared_cache; use_breaker };
+      accel = { use_slicing; use_cache; use_breaker };
       campaign = { per_function_runs; priority; retire_after; retry_limit };
       exec;
       telemetry;
@@ -145,12 +136,11 @@ type snapshot = {
   sn_bugs : bug list;
 }
 
-(* A worker's claim on the run budget: either a fixed private share
-   (the classic budget sharding, and the only shape a solo search
-   uses) or a reservation against a pool shared by every worker of a
-   parallel search. Pooled workers claim runs one at a time with a CAS
-   decrement, so a worker that drains its subtree early leaves the
-   rest of the budget to its peers instead of stranding its shard. *)
+(* A search's claim on the run budget: either a fixed private budget
+   (the shape a solo search uses) or a reservation against a pool
+   shared by every worker of a parallel search. Pooled workers claim
+   runs one at a time with a CAS decrement, so a worker that drains
+   its subtree early leaves the rest of the budget to its peers. *)
 type run_budget =
   | Fixed_budget of int
   | Pooled_budget of pooled_budget
@@ -173,7 +163,6 @@ type search_ctx = {
   sc_im : Inputs.t;
   sc_stats : Solver.stats;
   sc_cache : Solver.Cache.t;
-  sc_store : (Solver.Store.t * int) option;
   sc_incr : Solver.Incr.t option;
   sc_metrics : Telemetry.metrics;
   sc_budget : run_budget;
@@ -183,14 +172,13 @@ type search_ctx = {
 }
 
 let make_ctx ?(should_stop = fun () -> false)
-    ?(metrics = Telemetry.create_metrics ()) ?deadline ?pool ?store
-    ?(incremental = true) ?(use_breaker = true) ?breaker ~seed ~max_runs () =
+    ?(metrics = Telemetry.create_metrics ()) ?deadline ?pool
+    ?(cache = Solver.Cache.create ()) ?(use_breaker = true) ?breaker ~seed ~max_runs () =
   { sc_rng = Dart_util.Prng.create seed;
     sc_im = Inputs.create ();
     sc_stats = Solver.create_stats ();
-    sc_cache = Solver.Cache.create ();
-    sc_store = store;
-    sc_incr = (if incremental then Some (Solver.Incr.create ()) else None);
+    sc_cache = cache;
+    sc_incr = Some (Solver.Incr.create ());
     sc_metrics = metrics;
     sc_budget =
       (match pool with Some p -> pooled_budget p | None -> Fixed_budget max_runs);
@@ -528,11 +516,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
       let t0 = Telemetry.now () in
       let next =
         Solve_pc.solve
-          ?cache:
-            (if options.Options.accel.Options.use_cache && Option.is_none ctx.sc_store then
-               Some ctx.sc_cache
-             else None)
-          ?store:(if options.Options.accel.Options.use_cache then ctx.sc_store else None)
+          ?cache:(if options.Options.accel.Options.use_cache then Some ctx.sc_cache else None)
           ?incr:ctx.sc_incr ?breaker:ctx.sc_breaker
           ?deadline_ns:options.Options.budget.Options.solver_deadline_ns ~faultsim:fs
           ~slicing:options.Options.accel.Options.use_slicing ~telemetry:sink
@@ -640,7 +624,6 @@ let run ?resume ?on_checkpoint ?checkpoint_every ?(options = Options.default)
     (prog : Ram.Instr.program) : report =
   let ctx =
     make_ctx ?deadline:(deadline_of_options options)
-      ~incremental:options.Options.accel.Options.use_incremental
       ~use_breaker:options.Options.accel.Options.use_breaker
       ~seed:options.Options.search.Options.seed
       ~max_runs:options.Options.budget.Options.max_runs ()
@@ -656,7 +639,6 @@ let test_source ?(options = Options.default) ?(library_sigs = []) ~toplevel src 
   in
   let ctx =
     make_ctx ~metrics ?deadline:(deadline_of_options options)
-      ~incremental:options.Options.accel.Options.use_incremental
       ~use_breaker:options.Options.accel.Options.use_breaker
       ~seed:options.Options.search.Options.seed
       ~max_runs:options.Options.budget.Options.max_runs ()

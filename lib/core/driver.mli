@@ -30,15 +30,9 @@ module Options : sig
 
   type accel = {
     use_slicing : bool; (* independence slicing of path constraints (default on) *)
-    use_cache : bool; (* solve caching (default on) *)
-    use_incremental : bool;
-        (* push/pop incremental solving through a per-worker
-           {!Solver.Incr} context (default on; results identical) *)
-    use_shared_cache : bool;
-        (* with jobs > 1: one cross-worker {!Solver.Store} plus a
-           pooled run budget instead of private caches and budget
-           shards (default on; no effect at jobs = 1 or with
-           [use_cache] off) *)
+    use_cache : bool;
+        (* solve caching (default on); with jobs > 1 the workers share
+           one cache *)
     use_breaker : bool;
         (* per-site solver circuit breaker ({!Solver.Breaker}):
            consecutive deadline-overrun Unknowns at one branch site
@@ -87,8 +81,8 @@ module Options : sig
   }
 
   val default : t
-  (** seed 42, depth 1, 10_000 runs, DFS, stop on first bug, both
-      accelerations on, default machine, tracing off, no time budget,
+  (** seed 42, depth 1, 10_000 runs, DFS, stop on first bug, every
+      acceleration on, default machine, tracing off, no time budget,
       no solver deadline, fault injection off; campaign: 200 runs per
       slice, frontier-first priority, retire after 2 stale slices,
       quarantine after 3 consecutive faults. *)
@@ -103,8 +97,6 @@ module Options : sig
     ?solver_deadline_ns:int64 ->
     ?use_slicing:bool ->
     ?use_cache:bool ->
-    ?use_incremental:bool ->
-    ?use_shared_cache:bool ->
     ?use_breaker:bool ->
     ?per_function_runs:int ->
     ?priority:priority ->
@@ -201,7 +193,7 @@ type snapshot = {
     stack), so the final coverage is identical. Serialized by
     {!Checkpoint}. *)
 
-(** A worker's claim on the run budget: a fixed private share, or a
+(** A search's claim on the run budget: a fixed private budget, or a
     CAS-claimed reservation against a pool shared by all workers of a
     parallel search (a worker that exhausts its subtree early leaves
     the remaining budget to its peers). *)
@@ -218,13 +210,11 @@ type search_ctx = {
   sc_im : Inputs.t; (* private input vector *)
   sc_stats : Solver.stats; (* private solver counters *)
   sc_cache : Solver.Cache.t;
-      (* private solve cache (shared-nothing across domains, so hits
-         and misses are deterministic per worker) *)
-  sc_store : (Solver.Store.t * int) option;
-      (* shared cross-worker solve store and this worker's id; when
-         present (and caching is on) it replaces [sc_cache] *)
+      (* solve cache: private to a solo search, a handle on the one
+         table all workers share in a parallel search *)
   sc_incr : Solver.Incr.t option;
-      (* per-worker incremental solving context (never shared) *)
+      (* per-worker incremental solving context (never shared; always
+         [Some]) *)
   sc_metrics : Telemetry.metrics; (* private phase timers *)
   sc_budget : run_budget; (* this search's claim on the run budget *)
   sc_deadline : int64 option;
@@ -238,16 +228,15 @@ type search_ctx = {
 }
 (** Everything mutable a single directed search touches, made explicit
     so independent searches can run concurrently on separate domains
-    without sharing state (the shared store and pooled budget are the
-    two deliberate, lock-free exceptions). *)
+    without sharing state (a parallel search's shared solve cache and
+    pooled budget are the two deliberate exceptions). *)
 
 val make_ctx :
   ?should_stop:(unit -> bool) ->
   ?metrics:Telemetry.metrics ->
   ?deadline:int64 ->
   ?pool:int Atomic.t ->
-  ?store:Solver.Store.t * int ->
-  ?incremental:bool ->
+  ?cache:Solver.Cache.t ->
   ?use_breaker:bool ->
   ?breaker:Solver.Breaker.t ->
   seed:int ->
@@ -259,8 +248,8 @@ val make_ctx :
     to a fresh record (pass one to fold preparation time measured by
     {!prepare} into the search's report); [deadline] defaults to
     unbounded. [pool] switches the budget from a fixed [max_runs] share
-    to a shared pool; [store] attaches the cross-worker solve store;
-    [incremental] (default true) controls the push/pop context.
+    to a shared pool; [cache] (default a fresh private one) is the
+    solve cache, a {!Solver.Cache.share} handle for a parallel worker.
     [use_breaker] (default true) creates a fresh circuit breaker;
     [breaker] overrides it with a caller-owned one (a campaign shares
     one breaker across all slices of a target). *)

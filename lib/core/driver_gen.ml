@@ -41,6 +41,9 @@ let find_toplevel (prog : Ast.program) name =
 (** Extend [prog] with the generated driver. The result's entry point
     is {!wrapper_name}. *)
 let generate (prog : Ast.program) ~toplevel ~depth : Ast.program =
+  (* A driver that never calls the toplevel would run no user code at
+     all, and the search would then report a vacuous COMPLETE. *)
+  if depth < 1 then invalid_arg "Driver_gen.generate: depth must be positive";
   let f = find_toplevel prog toplevel in
   let protos =
     List.mapi

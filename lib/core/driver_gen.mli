@@ -37,7 +37,8 @@ exception No_toplevel of string
 
 val generate : Minic.Ast.program -> toplevel:string -> depth:int -> Minic.Ast.program
 (** Extend the program with the generated driver.
-    @raise No_toplevel if [toplevel] is not a defined function. *)
+    @raise No_toplevel if [toplevel] is not a defined function.
+    @raise Invalid_argument if [depth < 1]. *)
 
 val driver_source : Minic.Ast.program -> toplevel:string -> depth:int -> string
 (** Only the generated part, pretty-printed (the paper's Figure 7). *)

@@ -65,7 +65,6 @@ let run ?(mode = `Directed) ?resume ?on_checkpoint ?checkpoint_every ?metrics se
       let ctx =
         Driver.make_ctx ~should_stop:(Session.should_stop session) ~metrics
           ?deadline:(Driver.deadline_of_options options)
-          ~incremental:options.Driver.Options.accel.Driver.Options.use_incremental
           ~use_breaker:options.Driver.Options.accel.Driver.Options.use_breaker
           ?breaker:target.Target.tg_breaker
           ~seed:options.Driver.Options.search.Driver.Options.seed

@@ -74,12 +74,13 @@ let slice ~pivot ~prefix =
     in
     (pivot :: kept, List.length dropped)
 
-let solve ?cache ?store ?incr ?breaker ?(slicing = true) ?deadline_ns
+let solve ?cache ?incr ?breaker ?(slicing = true) ?deadline_ns
     ?(faultsim = Dart_util.Faultsim.off) ?(telemetry = Telemetry.null) ?hist
     ?(sites = [||]) ~strategy ~rng ~stats ~im ~stack ~path_constraint () =
   let n = Array.length stack in
   assert (Array.length path_constraint = n);
   let tracing = Telemetry.enabled telemetry in
+  let incr = match incr with Some i -> i | None -> Solver.Incr.create () in
   (* Per-query deadline predicate, built fresh at each real solver call
      (cache hits never consume deadline budget or injection shots). An
      injected overrun is a predicate that is constantly true: it rides
@@ -109,8 +110,8 @@ let solve ?cache ?store ?incr ?breaker ?(slicing = true) ?deadline_ns
   let solver_incomplete = ref false in
   (* One pivot-solve attempt. [j] is the flipped branch (for trace
      attribution), [sliced] how many prefix constraints independence
-     slicing already dropped; [cs] is [pivot :: kept @ domains]. *)
-  let solve_query ~j ~sliced ~pivot ~kept ~domains cs =
+     slicing already dropped; the query is [pivot :: kept @ domains]. *)
+  let solve_query ~j ~sliced ~pivot ~kept ~domains =
     match breaker with
     | Some b when Solver.Breaker.skip b (site_of j) ->
       (* Open breaker: the site has burned [threshold] consecutive
@@ -126,15 +127,11 @@ let solve ?cache ?store ?incr ?breaker ?(slicing = true) ?deadline_ns
        call, and the latency histogram wants every query (cache hits
        included) even when event tracing is off. *)
     let t0 = Telemetry.now () in
-    (* The real solver call, through the incremental context when one
-       is attached (results are identical; the context only reuses
-       prepared pipeline stages across the shared prefix). *)
+    (* The real solver call, through the incremental context (its
+       result is the one-shot solve of [pivot :: kept @ domains]). *)
     let run_solver () =
-      match incr with
-      | Some ictx ->
-        Solver.Incr.solve ictx ~stats ~prefer ?deadline:(solver_deadline ()) ~pivot
-          ~prefix:kept ~domains ()
-      | None -> Solver.solve ~stats ~prefer ?deadline:(solver_deadline ()) cs
+      Solver.Incr.solve incr ~stats ~prefer ?deadline:(solver_deadline ()) ~pivot
+        ~prefix:kept ~domains ()
     in
     (* Breaker accounting wraps only real solver calls (cache hits are
        free and prove nothing about the site). A query "fails" the site
@@ -169,37 +166,18 @@ let solve ?cache ?store ?incr ?breaker ?(slicing = true) ?deadline_ns
         r
     in
     let result, cache_hit =
-      match (store, cache) with
-      | Some (st, worker), _ ->
-        (* Shared cross-worker store: a hit may have been published by
-           any worker; a miss doubles as a frontier claim. *)
-        let keyed = Solver.Cache.canonical cs in
-        (match Solver.Store.acquire st ~worker keyed with
-         | Solver.Store.Hit (v, publisher) ->
+      match cache with
+      | None -> (run_solver (), false)
+      | Some cache ->
+        let key = Solver.Cache.canonical (pivot :: (kept @ domains)) in
+        (match Solver.Cache.find cache key with
+         | Some (v, publisher) ->
            Solver.record_cache_hit stats;
-           if publisher <> worker then Solver.record_shared_hit stats;
+           if publisher <> Solver.Cache.worker cache then Solver.record_shared_hit stats;
            ((match v with
              | Solver.Cache.Sat model -> Solver.Sat model
              | Solver.Cache.Unsat -> Solver.Unsat),
             true)
-         | Solver.Store.Claimed | Solver.Store.Busy _ ->
-           Solver.record_cache_miss stats;
-           let r = run_solver () in
-           (match r with
-            | Solver.Sat model ->
-              Solver.Store.publish st ~worker keyed (Solver.Cache.Sat model)
-            | Solver.Unsat -> Solver.Store.publish st ~worker keyed Solver.Cache.Unsat
-            | Solver.Unknown -> ());
-           (r, false))
-      | None, Some cache ->
-        let key = Solver.Cache.canonical cs in
-        (match Solver.Cache.find cache key with
-         | Some (Solver.Cache.Sat model) ->
-           Solver.record_cache_hit stats;
-           (Solver.Sat model, true)
-         | Some Solver.Cache.Unsat ->
-           Solver.record_cache_hit stats;
-           (Solver.Unsat, true)
          | None ->
            Solver.record_cache_miss stats;
            let r = run_solver () in
@@ -208,7 +186,6 @@ let solve ?cache ?store ?incr ?breaker ?(slicing = true) ?deadline_ns
             | Solver.Unsat -> Solver.Cache.add cache key Solver.Cache.Unsat
             | Solver.Unknown -> ());
            (r, false))
-      | None, None -> (run_solver (), false)
     in
     let dur_ns = Int64.sub (Telemetry.now ()) t0 in
     (match hist with None -> () | Some h -> Telemetry.Hist.add h dur_ns);
@@ -249,17 +226,15 @@ let solve ?cache ?store ?incr ?breaker ?(slicing = true) ?deadline_ns
         end
         else (prefix, 0)
       in
-      let base_cs = pivot :: kept in
       let vars =
         let tbl = Hashtbl.create 16 in
         List.iter
           (fun c -> List.iter (fun v -> Hashtbl.replace tbl v ()) (Constr.vars c))
-          base_cs;
+          (pivot :: kept);
         Hashtbl.fold (fun v () acc -> v :: acc) tbl []
       in
       let domains = domain_constraints im vars in
-      let cs = base_cs @ domains in
-      (match solve_query ~j ~sliced ~pivot ~kept ~domains cs with
+      (match solve_query ~j ~sliced ~pivot ~kept ~domains with
        | Solver.Sat model ->
          (* IM + IM': overwrite solved inputs, keep the rest (with
             slicing, inputs outside the pivot's component are never in

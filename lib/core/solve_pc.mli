@@ -13,17 +13,15 @@
       sent to the solver; unrelated components stay satisfied by the
       current IM, preserving the IM + IM' update semantics.
     - {b solve caching} ([cache]): Sat models and Unsat verdicts are
-      memoised per canonical constraint set in a private per-worker
-      table; a worker's hit sequence depends only on its own queries.
-    - {b shared solve store} ([store], a {!Solver.Store.t} plus this
-      worker's id): the cross-worker alternative to [cache] — verdicts
-      published by any worker answer every worker's queries, and a
-      miss doubles as a claim on that frontier branch. Pass [store]
-      or [cache], not both (store wins if both are given).
-    - {b incremental solving} ([incr]): real solver calls go through a
+      memoised per canonical constraint set. The cache may be private
+      or shared by the workers of a parallel search; a hit on an entry
+      another worker published also counts in
+      [Solver.shared_hits].
+    - {b incremental solving}: real solver calls go through a
       {!Solver.Incr} push/pop context that keeps the shared constraint
-      prefix asserted and memoises prepared pipeline states; results
-      are identical to one-shot solving by construction. One context
+      prefix asserted; results are identical to one-shot solving by
+      construction. [incr] passes the search's own context, kept
+      across calls; without it each call uses a fresh one. One context
       per worker — contexts never cross domains.
 
     [deadline_ns] bounds each real solver call (cache hits are free):
@@ -77,7 +75,6 @@ val slice :
 
 val solve :
   ?cache:Solver.Cache.t ->
-  ?store:Solver.Store.t * int ->
   ?incr:Solver.Incr.t ->
   ?breaker:Solver.Breaker.t ->
   ?slicing:bool ->

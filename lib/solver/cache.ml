@@ -1,4 +1,4 @@
-(* Per-worker solve cache (constraint caching, DART §2.6's "most of
+(* The solve cache (constraint caching, DART §2.6's "most of
    the time is spent solving path constraints"; cf. the caching layers
    of industrial concolic engines).
 
@@ -25,12 +25,17 @@
    cached (it reflects resource limits, not a semantic verdict, and
    retrying may succeed).
 
-   The cache itself is deliberately shared-nothing: every worker domain
-   owns one (it lives in the per-worker [Driver.search_ctx]), so
-   parallel searches stay deterministic — a worker's sequence of hits
-   and misses is a pure function of its own query sequence, never of
-   another domain's progress. The cross-worker sharing variant lives in
-   [Store], which reuses this module's keys and verdicts. *)
+   One table serves both shapes of search. A solo search (or a
+   campaign slice) owns a private one. A parallel search creates one
+   and hands every worker a handle on it ([share]), so a verdict any
+   worker publishes answers every worker's queries. Each entry records
+   its publisher, which is how [Solver.shared_hits] tells a peer's
+   entry from the worker's own. One mutex guards the table: the
+   critical sections are a hash lookup or insert, and a solo search
+   never contends for it. The first publisher of a key wins; a later
+   verdict for the same key is equivalent (models may differ, both are
+   verified). At one worker the find/add sequence, and so every
+   hit/miss count, depends only on the search's own queries. *)
 
 open Zarith_lite
 open Symbolic
@@ -48,9 +53,14 @@ end
 
 module Tbl = Hashtbl.Make (Key)
 
-type t = verdict Tbl.t
+(* The table maps a canonical key to its verdict (in canonical space)
+   and the id of the worker that published it; [worker] is this
+   handle's own id. *)
+type t = { tbl : (verdict * int) Tbl.t; lock : Mutex.t; worker : int }
 
-let create () : t = Tbl.create 256
+let create () = { tbl = Tbl.create 256; lock = Mutex.create (); worker = 0 }
+let share t ~worker = { t with worker }
+let worker t = t.worker
 
 type keyed = {
   key : Key.t;
@@ -153,8 +163,13 @@ let of_canonical keyed = function
   | Unsat -> Unsat
   | Sat model -> Sat (List.map (fun (i, z) -> (keyed.back.(i), z)) model)
 
-let find (t : t) keyed =
-  Option.map (of_canonical keyed) (Tbl.find_opt t keyed.key)
+let find t keyed =
+  Mutex.protect t.lock (fun () -> Tbl.find_opt t.tbl keyed.key)
+  |> Option.map (fun (v, publisher) -> (of_canonical keyed v, publisher))
 
-let add (t : t) keyed verdict = Tbl.replace t keyed.key (to_canonical keyed verdict)
-let length (t : t) = Tbl.length t
+let add t keyed verdict =
+  let v = to_canonical keyed verdict in
+  Mutex.protect t.lock (fun () ->
+      if not (Tbl.mem t.tbl keyed.key) then Tbl.add t.tbl keyed.key (v, t.worker))
+
+let length t = Mutex.protect t.lock (fun () -> Tbl.length t.tbl)

@@ -2,12 +2,8 @@ open Zarith_lite
 open Symbolic
 
 module Cache = Cache
-(** Re-export: the per-worker solve cache ([lib/solver/cache.ml]),
-    reachable as [Solver.Cache] from outside the library. *)
-
-module Store = Store
-(** Re-export: the lock-free cross-worker solve store
-    ([lib/solver/store.ml]), reachable as [Solver.Store]. *)
+(** Re-export: the solve cache ([lib/solver/cache.ml]), reachable as
+    [Solver.Cache] from outside the library. *)
 
 module Breaker = Breaker
 (** Re-export: the per-site circuit breaker ([lib/solver/breaker.ml]),
@@ -34,12 +30,11 @@ type stats = {
      [to_assoc]/[of_assoc] (and hence from reports, checkpoints and
      resume-identity comparisons) because they measure *work avoided*,
      which a resumed or replayed search legitimately repeats
-     differently. Read through [incremental_hits]/[pops_saved]/
-     [shared_hits]; summed by [add_stats] like every other counter.
+     differently. Read through [pops_saved]/[shared_hits]; summed by
+     [add_stats] like every other counter.
      The breaker counters below live in the same bucket: a skipped
      query is work avoided, and breaker state is rebuilt from scratch
      on resume. *)
-  mutable incremental_hits : int;
   mutable pops_saved : int;
   mutable shared_hits : int;
   mutable breaker_opens : int;
@@ -49,7 +44,7 @@ type stats = {
 let create_stats () =
   { queries = 0; sat = 0; unsat = 0; unknown = 0; fast_path = 0; simplex_queries = 0;
     ne_splits = 0; cache_hits = 0; cache_misses = 0; constraints_sliced_away = 0;
-    deadline_overruns = 0; incremental_hits = 0; pops_saved = 0; shared_hits = 0;
+    deadline_overruns = 0; pops_saved = 0; shared_hits = 0;
     breaker_opens = 0; breaker_skips = 0 }
 
 (* The record stays private to this module: outside consumers go
@@ -67,7 +62,7 @@ let cache_hits s = s.cache_hits
 let cache_misses s = s.cache_misses
 let constraints_sliced_away s = s.constraints_sliced_away
 let deadline_overruns s = s.deadline_overruns
-let incremental_hits s = s.incremental_hits
+let incremental_hits _ = 0
 let pops_saved s = s.pops_saved
 let shared_hits s = s.shared_hits
 let breaker_opens s = s.breaker_opens
@@ -113,7 +108,6 @@ let add_stats ~into w =
   into.cache_misses <- into.cache_misses + w.cache_misses;
   into.constraints_sliced_away <- into.constraints_sliced_away + w.constraints_sliced_away;
   into.deadline_overruns <- into.deadline_overruns + w.deadline_overruns;
-  into.incremental_hits <- into.incremental_hits + w.incremental_hits;
   into.pops_saved <- into.pops_saved + w.pops_saved;
   into.shared_hits <- into.shared_hits + w.shared_hits;
   into.breaker_opens <- into.breaker_opens + w.breaker_opens;
@@ -178,29 +172,9 @@ let univariate_forbidden nes =
    to (and including) Gaussian elimination, interval absorption and
    the disequality tables depends only on the constraint *set*, not on
    the preferred values or the deadline of the particular query. That
-   stage output is a [prepared] value; an incremental context memoises
-   prepared states keyed on the exact tightened bucket lists, so a
-   re-issued (or pivot-extended) path constraint replays only the
-   per-query tail: preference check, value choice, back-substitution
-   and the final model check. Correctness is structural — both the
-   fresh and the memoised route run the same code on the same lists —
-   so results are identical by construction. *)
-
-module P_key = struct
-  type t = Problem.t
-
-  let equal (a : Problem.t) (b : Problem.t) =
-    List.equal Linexpr.equal a.Problem.eqs b.Problem.eqs
-    && List.equal Linexpr.equal a.Problem.les b.Problem.les
-    && List.equal Linexpr.equal a.Problem.nes b.Problem.nes
-
-  let hash (p : Problem.t) =
-    let h acc e = (acc * 31) + Linexpr.hash e in
-    let hl acc l = List.fold_left h ((acc * 7) + 3) l in
-    hl (hl (hl 17 p.Problem.eqs) p.Problem.les) p.Problem.nes
-end
-
-module P_tbl = Hashtbl.Make (P_key)
+   stage output is a [prepared] value; the per-query tail (preference
+   check, value choice, back-substitution and the final model check)
+   runs on it. *)
 
 type prepared =
   | P_unsat (* elimination / absorption / disequalities found a contradiction *)
@@ -210,10 +184,6 @@ type prepared =
       g_multi_les : Linexpr.t list; (* residual multivariate inequalities *)
       g_les_vars : Linexpr.var list;
       g_forbidden : (Linexpr.var, Zint.t list) Hashtbl.t;
-      mutable g_bb : Branch_bound.result option;
-          (* Memoised branch-and-bound verdict; only written when the
-             computation ran to completion (no deadline overrun), so a
-             memo hit replays exactly the deadline-free result. *)
     }
 
 (* Run the query-independent pipeline stages on a tightened problem. *)
@@ -257,7 +227,7 @@ let prepare (p : Problem.t) : prepared =
          in
          P_go
            { g_subst = subst; g_box = box; g_multi_les = multi_les;
-             g_les_vars = les_vars; g_forbidden = forbidden_tbl; g_bb = None }
+             g_les_vars = les_vars; g_forbidden = forbidden_tbl }
        end)
 
 (* ---- incremental contexts ---------------------------------------------------
@@ -269,18 +239,15 @@ let prepare (p : Problem.t) : prepared =
    per-atom tightening of a shared prefix is done once, not per query.
    The bucket lists are built to be *list-equal* to what
    [Problem.of_constrs] + [Problem.tighten] produce on the assembled
-   constraint list (cons-only folds commute with concatenation), which
-   is what lets them key the prepared-state memo soundly. *)
+   constraint list (cons-only folds commute with concatenation), so
+   both routes run the solver core on the same lists. *)
 
 type level = {
   l_constr : Constr.t;
   l_cum : Problem.t option; (* None: some atom below is directly unsat *)
 }
 
-type incr = {
-  ic_prepared : prepared P_tbl.t;
-  mutable ic_stack : level list; (* bottom first: stack.(i) asserts prefix.(i) *)
-}
+type incr = { mutable ic_stack : level list (* bottom first: stack.(i) asserts prefix.(i) *) }
 
 (* Normalize one atom into cons'd bucket lists, mirroring
    [Problem.add_constr] followed by [Problem.tighten] atom-wise. *)
@@ -322,8 +289,8 @@ let max_ne_split_depth = 24
    points. [top] optionally supplies the already-normalized tightened
    problem for the outermost constraint list (the incremental stack
    assembles it); sub-queries from disequality splits always normalize
-   their own. [memo] optionally supplies the prepared-state table. *)
-let solve_core ~stats ~prefer ~use_simplex ~deadline ~memo ~top cs =
+   their own. *)
+let solve_core ~stats ~prefer ~use_simplex ~deadline ~top cs =
   stats.queries <- stats.queries + 1;
   let overran = ref false in
   let expired () =
@@ -339,19 +306,6 @@ let solve_core ~stats ~prefer ~use_simplex ~deadline ~memo ~top cs =
     Hashtbl.fold (fun v () acc -> v :: acc) tbl []
   in
   let pref v = match prefer v with Some z -> z | None -> Zint.zero in
-  let lookup (p : Problem.t) : prepared =
-    match memo with
-    | None -> prepare p
-    | Some tbl -> (
-      match P_tbl.find_opt tbl p with
-      | Some prep ->
-        stats.incremental_hits <- stats.incremental_hits + 1;
-        prep
-      | None ->
-        let prep = prepare p in
-        P_tbl.replace tbl p prep;
-        prep)
-  in
   let rec attempt depth ~top cs =
     (* One deadline poll per (sub-)query: ne-splits recurse through
        here, so a deep split tree cannot outlive its budget either. *)
@@ -364,7 +318,7 @@ let solve_core ~stats ~prefer ~use_simplex ~deadline ~memo ~top cs =
       in
       match tightened with
       | None -> Unsat
-      | Some p -> attempt_prepared depth cs (lookup p)
+      | Some p -> attempt_prepared depth cs (prepare p)
     end
   and attempt_prepared depth cs prep =
     match prep with
@@ -412,20 +366,10 @@ let solve_core ~stats ~prefer ~use_simplex ~deadline ~memo ~top cs =
         else if not use_simplex then `Unknown
         else begin
           stats.simplex_queries <- stats.simplex_queries + 1;
-          let bb =
-            match g.g_bb with
-            | Some r -> r
-            | None ->
-              let r =
-                Branch_bound.solve ~deadline:expired ~intervals:g.g_box
-                  ~les:g.g_multi_les ~vars:g.g_les_vars ()
-              in
-              (* Memoise only complete computations: a result reached
-                 under an expired deadline must stay retriable. *)
-              if not !overran then g.g_bb <- Some r;
-              r
-          in
-          match bb with
+          match
+            Branch_bound.solve ~deadline:expired ~intervals:g.g_box ~les:g.g_multi_les
+              ~vars:g.g_les_vars ()
+          with
           | Branch_bound.Unsat -> `Unsat
           | Branch_bound.Unknown -> `Unknown
           | Branch_bound.Sat model ->
@@ -517,17 +461,12 @@ let solve_core ~stats ~prefer ~use_simplex ~deadline ~memo ~top cs =
 
 let solve ?(stats = dummy_stats) ?(prefer = fun _ -> None) ?(use_simplex = true)
     ?(deadline = fun () -> false) cs =
-  solve_core ~stats ~prefer ~use_simplex ~deadline ~memo:None ~top:None cs
+  solve_core ~stats ~prefer ~use_simplex ~deadline ~top:None cs
 
 module Incr = struct
   type t = incr
 
-  let create () = { ic_prepared = P_tbl.create 256; ic_stack = [] }
-
-  let depth t = List.length t.ic_stack
-  let prepared_count t = P_tbl.length t.ic_prepared
-
-  let reset t = t.ic_stack <- []
+  let create () = { ic_stack = [] }
 
   (* Re-align the assertion stack with [prefix]: keep the common
      prefix of levels (their cumulative normalized lists are reused as
@@ -565,6 +504,5 @@ module Incr = struct
        normalization of the assembled constraint list. *)
     let top = glue (add_norm (Some Problem.empty) pivot) (glue cum (norm_fold domains)) in
     let cs = pivot :: (prefix @ domains) in
-    solve_core ~stats ~prefer ~use_simplex ~deadline ~memo:(Some t.ic_prepared)
-      ~top:(Some top) cs
+    solve_core ~stats ~prefer ~use_simplex ~deadline ~top:(Some top) cs
 end

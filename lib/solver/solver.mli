@@ -10,11 +10,13 @@
     against the input constraints before being handed back. *)
 
 module Cache : sig
-  (** Per-worker memoisation of solver verdicts, keyed on the canonical
-      form of a constraint set. Never shared across domains: each
-      worker's hit/miss sequence depends only on its own queries, which
-      keeps parallel search deterministic. The cross-worker variant is
-      {!Store}. *)
+  (** Memoisation of solver verdicts, keyed on the canonical form of a
+      constraint set. A solo search owns a private cache; a parallel
+      search creates one and gives each worker a handle on it
+      ({!share}), so every worker's queries are answered by verdicts
+      any worker published. One mutex guards the table. Each entry
+      records the worker that published it (the first publisher of a
+      key wins). *)
 
   type verdict =
     | Sat of (Symbolic.Linexpr.var * Zarith_lite.Zint.t) list
@@ -36,8 +38,16 @@ module Cache : sig
       it, needed to map stored models back to the query's variables. *)
 
   type t
+  (** A handle on a table, carrying the id of the worker that
+      publishes through it. *)
 
   val create : unit -> t
+  (** A fresh, empty table; the handle publishes as worker 0. *)
+
+  val share : t -> worker:int -> t
+  (** Another handle on the same table, publishing as [worker]. *)
+
+  val worker : t -> int
 
   val canonical : Symbolic.Constr.t list -> keyed
   (** Canonical key of a conjunction: insensitive to atom order,
@@ -48,55 +58,17 @@ module Cache : sig
       rewrite preserves the solution set, so cached models remain valid
       for any spelling. *)
 
-  val find : t -> keyed -> verdict option
+  val find : t -> keyed -> (verdict * int) option
   (** Stored verdict, with Sat models mapped back to the query's own
-      variables. Model variables that only occurred in vacuously-true
-      atoms are omitted (they are unconstrained). *)
+      variables, and the id of the worker that published it. Model
+      variables that only occurred in vacuously-true atoms are omitted
+      (they are unconstrained). *)
 
   val add : t -> keyed -> verdict -> unit
-  val length : t -> int
-
-  (**/**)
-
-  val to_canonical : keyed -> verdict -> verdict
-  val of_canonical : keyed -> verdict -> verdict
-end
-
-module Store : sig
-  (** Lock-free cross-worker solve store: one instance is shared by all
-      worker domains of a parallel search, replacing the per-worker
-      {!Cache} when shared caching is on. Verdicts are published under
-      {!Cache.canonical} keys; acquiring an unsolved key installs an
-      in-flight claim on that branch of the shared frontier, so workers
-      steal solved branches instead of re-deriving them. Cells move
-      [In_flight -> Done] exactly once (first publisher wins) and are
-      never removed. With a single worker the acquire/publish protocol
-      is observationally identical to [Cache.find]/[Cache.add]. *)
-
-  type t
-
-  val create : ?size_bits:int -> unit -> t
-
-  type outcome =
-    | Hit of Cache.verdict * int
-        (** Solved already: verdict mapped to the query's variables,
-            plus the publishing worker's id. *)
-    | Claimed  (** We hold the claim slot now: solve, then {!publish}. *)
-    | Busy of int
-        (** Another worker holds the claim; solve locally, never block
-            (the depth-first discipline cannot wait on a peer). *)
-
-  val acquire : t -> worker:int -> Cache.keyed -> outcome
-
-  val publish : t -> worker:int -> Cache.keyed -> Cache.verdict -> unit
-  (** Publish a Sat/Unsat verdict (never call with Unknown — leave the
-      claim in flight so the key stays retriable). *)
+  (** Publish a verdict as [worker t]; a no-op when the key already has
+      one. *)
 
   val length : t -> int
-  (** Total cells (claims + solved). *)
-
-  val solved : t -> int
-  (** Published verdicts only. *)
 end
 
 module Breaker = Breaker
@@ -137,17 +109,16 @@ val deadline_overruns : stats -> int
     expired (see [solve]'s [deadline]). *)
 
 val incremental_hits : stats -> int
-(** Prepared-state reuses inside an incremental context: queries whose
-    tightened problem was already eliminated/absorbed and skipped
-    straight to the per-query stages. *)
+(** Always 0. The prepared-state memo it counted is gone; the accessor
+    stays because the repository benchmark still reports it. *)
 
 val pops_saved : stats -> int
 (** Assertion-stack levels retained across consecutive incremental
     queries (prefix atoms not re-normalized). *)
 
 val shared_hits : stats -> int
-(** Cache hits answered by an entry another worker published in the
-    shared {!Store} (a subset of {!cache_hits}). *)
+(** Cache hits answered by an entry another worker published in a
+    shared {!Cache} (a subset of {!cache_hits}). *)
 
 val breaker_opens : stats -> int
 (** Circuit-breaker transitions into the open state (see {!Breaker}). *)
@@ -160,8 +131,8 @@ val to_assoc : stats -> (string * int) list
 (** Every report-visible counter as [(name, value)], stable declaration
     order; the single source of truth for report printing, bench JSON
     and merge code, so a new counter shows up everywhere at once. The
-    acceleration meters ({!incremental_hits}, {!pops_saved},
-    {!shared_hits}) and the breaker meters ({!breaker_opens},
+    acceleration meters ({!pops_saved}, {!shared_hits}) and the
+    breaker meters ({!breaker_opens},
     {!breaker_skips}) are deliberately excluded: they measure work
     avoided, which resumed or replayed searches legitimately repeat
     differently, so they must not feed resume-identity comparisons. *)
@@ -202,18 +173,16 @@ val solve :
 
 module Incr : sig
   (** Incremental push/pop solving. A context keeps an assertion stack
-      over the query's shared prefix plus a memo of prepared solver
-      states (Gaussian elimination, interval absorption, learned
-      disequality tables, completed branch-and-bound verdicts) keyed on
-      the exact normalized constraint lists. {!solve} pops only the
-      stack suffix that differs from the previous query and pushes the
-      new atoms; results are identical to the one-shot {!val:solve} by
+      over the query's shared prefix, each level holding the
+      normalized constraint lists of everything below it. {!solve}
+      pops only the stack suffix that differs from the previous query
+      and pushes the new atoms, so a shared prefix is normalized once.
+      Results are identical to the one-shot {!val:solve} by
       construction, because both routes run the same core on the same
-      lists — the context only skips recomputing stages whose inputs
-      are unchanged. Nothing derived from an aborted (deadline-overrun)
-      computation is ever retained, so a timeout cannot leak stale
-      state into the next query. One context per worker: contexts are
-      not thread-safe and never cross domains. *)
+      lists. The stack holds only normalized atoms, never solver
+      state, so a deadline overrun cannot leak stale state into the
+      next query. One context per worker: contexts are not
+      thread-safe and never cross domains. *)
 
   type t
 
@@ -234,16 +203,6 @@ module Incr : sig
       kept path-constraint prefix, and the input-domain bounds — with
       the prefix asserted through the stack. Equivalent to
       [solve (pivot :: prefix @ domains)]. *)
-
-  val depth : t -> int
-  (** Current assertion-stack depth. *)
-
-  val prepared_count : t -> int
-  (** Memoised prepared states (diagnostics). *)
-
-  val reset : t -> unit
-  (** Drop the assertion stack (the prepared memo survives: its entries
-      are keyed structurally and remain valid). *)
 end
 
 val check_model : Symbolic.Constr.t list -> (Symbolic.Linexpr.var * Zarith_lite.Zint.t) list -> bool

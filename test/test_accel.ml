@@ -1,5 +1,5 @@
 (* Solver acceleration layer: independence slicing of path constraints
-   and the per-worker solve cache. The key invariant throughout: both
+   and the solve cache. The key invariant throughout: both
    optimisations are *exact* — verdicts, bug sets and coverage must be
    identical with and without them. *)
 
@@ -71,7 +71,7 @@ let test_cache_renamed_model () =
   Solver.Cache.add cache (Solver.Cache.canonical [ c_eq 0 10 ])
     (Solver.Cache.Sat [ (0, zi 10) ]);
   match Solver.Cache.find cache (Solver.Cache.canonical [ c_eq 7 10 ]) with
-  | Some (Solver.Cache.Sat [ (7, z) ]) ->
+  | Some (Solver.Cache.Sat [ (7, z) ], 0) ->
     Alcotest.(check int) "model remapped to x7" 10 (Zint.to_int z)
   | Some _ -> Alcotest.fail "hit with wrong model shape"
   | None -> Alcotest.fail "renamed query missed"
@@ -82,44 +82,104 @@ let test_cache_roundtrip () =
   Alcotest.(check bool) "miss on empty" true (Solver.Cache.find cache keyed = None);
   Solver.Cache.add cache keyed (Solver.Cache.Sat [ (0, zi 10) ]);
   (match Solver.Cache.find cache (Solver.Cache.canonical [ c_eq 0 10 ]) with
-   | Some (Solver.Cache.Sat [ (0, z) ]) -> Alcotest.(check int) "model value" 10 (Zint.to_int z)
+   | Some (Solver.Cache.Sat [ (0, z) ], 0) -> Alcotest.(check int) "model value" 10 (Zint.to_int z)
    | _ -> Alcotest.fail "expected cached Sat model");
   let ukeyed = Solver.Cache.canonical [ c_eq 0 1; c_eq 0 2 ] in
   Solver.Cache.add cache ukeyed Solver.Cache.Unsat;
   Alcotest.(check bool) "unsat cached" true
-    (Solver.Cache.find cache ukeyed = Some Solver.Cache.Unsat);
+    (Solver.Cache.find cache ukeyed = Some (Solver.Cache.Unsat, 0));
   Alcotest.(check int) "two entries" 2 (Solver.Cache.length cache)
 
-(* ---- shared cross-worker store ------------------------------------------------ *)
+(* ---- shared cache ------------------------------------------------------------- *)
 
-let test_shared_store_protocol () =
-  let st = Solver.Store.create () in
-  let k = Solver.Cache.canonical [ c_eq 0 10 ] in
-  (match Solver.Store.acquire st ~worker:0 k with
-   | Solver.Store.Claimed -> ()
-   | _ -> Alcotest.fail "first acquire must claim");
-  (match Solver.Store.acquire st ~worker:1 k with
-   | Solver.Store.Busy 0 -> ()
-   | _ -> Alcotest.fail "peer must see Busy with the claimant's id");
-  (* The claimant re-acquiring its own stale claim (a retried Unknown)
-     gets the slot back instead of deadlocking on itself. *)
-  (match Solver.Store.acquire st ~worker:0 k with
-   | Solver.Store.Claimed -> ()
-   | _ -> Alcotest.fail "claimant re-acquires its own claim");
-  Solver.Store.publish st ~worker:0 k (Solver.Cache.Sat [ (0, zi 10) ]);
-  Alcotest.(check int) "one solved cell" 1 (Solver.Store.solved st);
-  (* A renamed spelling of the same query hits, carries the publisher's
-     id, and the model comes back over the caller's variables. *)
-  (match Solver.Store.acquire st ~worker:1 (Solver.Cache.canonical [ c_eq 3 10 ]) with
-   | Solver.Store.Hit (Solver.Cache.Sat [ (3, z) ], 0) ->
-     Alcotest.(check int) "model remapped" 10 (Zint.to_int z)
-   | _ -> Alcotest.fail "expected a renamed hit published by worker 0");
-  (* First publisher wins: a late conflicting publish is a no-op. *)
-  Solver.Store.publish st ~worker:1 k Solver.Cache.Unsat;
-  (match Solver.Store.acquire st ~worker:2 k with
-   | Solver.Store.Hit (Solver.Cache.Sat _, 0) -> ()
-   | _ -> Alcotest.fail "first published verdict must stand");
-  Alcotest.(check int) "still one cell" 1 (Solver.Store.length st)
+(* Several domains hammer one shared cache with overlapping canonical
+   keys: domain [d] asks [x = k] over its own variable [x_(100d+k)], so
+   every domain's query for a given [k] canonicalises to the same key.
+   A miss publishes the model a solver would return. Every hit must
+   come back over the asking domain's own variable with the right
+   value, and each key keeps exactly one publisher. *)
+let test_shared_cache_domains () =
+  let shared = Solver.Cache.create () in
+  let n_domains = 4 and n_keys = 50 and rounds = 3 in
+  let work d () =
+    let cache = Solver.Cache.share shared ~worker:d in
+    let seen = Hashtbl.create n_keys and missed = Hashtbl.create n_keys in
+    let bad = ref 0 and peer_hits = ref 0 in
+    for r = 0 to rounds - 1 do
+      for i = 0 to n_keys - 1 do
+        (* Domains walk the keys in different orders so they collide. *)
+        let k = (i + (d * 13) + r) mod n_keys in
+        let v = (100 * d) + k in
+        let keyed = Solver.Cache.canonical [ c_eq v k ] in
+        match Solver.Cache.find cache keyed with
+        | None ->
+          Hashtbl.replace missed k ();
+          Solver.Cache.add cache keyed (Solver.Cache.Sat [ (v, zi k) ])
+        | Some (Solver.Cache.Sat [ (v', z) ], publisher) ->
+          if v' <> v || Zint.to_int z <> k then incr bad;
+          if publisher <> d then incr peer_hits;
+          (match Hashtbl.find_opt seen k with
+           | Some p when p <> publisher -> incr bad
+           | _ -> Hashtbl.replace seen k publisher)
+        | Some _ -> incr bad
+      done
+    done;
+    (!bad, !peer_hits, seen, missed)
+  in
+  let results =
+    Array.map Domain.join (Array.init n_domains (fun d -> Domain.spawn (work d)))
+  in
+  Array.iteri
+    (fun d (bad, _, _, _) ->
+      Alcotest.(check int) (Printf.sprintf "domain %d: every hit maps back" d) 0 bad)
+    results;
+  Alcotest.(check int) "one entry per canonical key" n_keys (Solver.Cache.length shared);
+  (* Every domain that hit key k saw the same publisher, and that
+     publisher is a domain that missed k and published it. *)
+  for k = 0 to n_keys - 1 do
+    let owners =
+      Array.to_list results
+      |> List.filter_map (fun (_, _, seen, _) -> Hashtbl.find_opt seen k)
+      |> List.sort_uniq compare
+    in
+    match owners with
+    | [ p ] ->
+      let _, _, _, missed = results.(p) in
+      Alcotest.(check bool) (Printf.sprintf "key %d published by a misser" k) true
+        (Hashtbl.mem missed k)
+    | owners ->
+      Alcotest.failf "key %d: %d distinct publishers seen" k (List.length owners)
+  done;
+  (* One entry per key and four domains asking for every key: at least
+     three of them must have been answered by a peer's entry. *)
+  let peer_total = Array.fold_left (fun acc (_, p, _, _) -> acc + p) 0 results in
+  Alcotest.(check bool) "peers answered queries" true (peer_total >= 3 * n_keys)
+
+(* [Solver.shared_hits] counts a hit only when another worker published
+   the entry: driven through [Solve_pc], the publishing worker's own
+   re-query is a plain hit, a peer's query is a shared one. *)
+let test_shared_hits_count_peers () =
+  let shared = Solver.Cache.create () in
+  let solve ~worker stats =
+    let im = Dart.Inputs.create () in
+    Dart.Inputs.set im ~id:0 5;
+    ignore
+      (Dart.Solve_pc.solve
+         ~cache:(Solver.Cache.share shared ~worker)
+         ~strategy:Dart.Strategy.Dfs ~rng:(Dart_util.Prng.create 1) ~stats ~im
+         ~stack:[| { Dart.Concolic.br_branch = true; br_done = false } |]
+         ~path_constraint:[| Some (c_eq 0 5) |] ())
+  in
+  let s0 = Solver.create_stats () and s1 = Solver.create_stats () in
+  solve ~worker:0 s0;
+  Alcotest.(check int) "first query misses" 1 (Solver.cache_misses s0);
+  solve ~worker:0 s0;
+  Alcotest.(check int) "own entry: a hit" 1 (Solver.cache_hits s0);
+  Alcotest.(check int) "own entry: not shared" 0 (Solver.shared_hits s0);
+  solve ~worker:1 s1;
+  Alcotest.(check int) "peer's entry: a hit" 1 (Solver.cache_hits s1);
+  Alcotest.(check int) "peer's entry: shared" 1 (Solver.shared_hits s1);
+  Alcotest.(check int) "peer never reached the solver" 0 (Solver.queries s1)
 
 (* ---- slicing: dependency closure --------------------------------------------- *)
 
@@ -285,9 +345,9 @@ let test_cache_determinism () =
      | _ -> false)
 
 let test_per_worker_caches () =
-  (* Parallel workers carry private caches: the merged stats sum the
-     per-worker counters, and jobs=1 with caching stays identical to
-     the sequential driver. *)
+  (* Parallel workers share one cache but keep their own counters: the
+     merged stats sum the per-worker counters, and jobs=1 with caching
+     stays identical to the sequential driver. *)
   let src, toplevel = Workloads.Paper_examples.section_2_4 in
   let ast = Minic.Parser.parse_program src in
   let prog = Dart.Driver.prepare ~toplevel ~depth:1 ast in
@@ -314,7 +374,8 @@ let suite =
     Alcotest.test_case "canonical key normalisation" `Quick test_canonical_key_normalises;
     Alcotest.test_case "renamed cache hit" `Quick test_cache_renamed_model;
     Alcotest.test_case "cache roundtrip" `Quick test_cache_roundtrip;
-    Alcotest.test_case "shared store protocol" `Quick test_shared_store_protocol;
+    Alcotest.test_case "shared cache across domains" `Quick test_shared_cache_domains;
+    Alcotest.test_case "shared hits count peers only" `Quick test_shared_hits_count_peers;
     Alcotest.test_case "slice components" `Quick test_slice_components;
     Alcotest.test_case "slice preserves IM" `Quick test_slice_preserves_im;
     Alcotest.test_case "ablation equivalence" `Quick test_ablation_equivalence;

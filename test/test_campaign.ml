@@ -167,6 +167,14 @@ let test_codec_roundtrip () =
       (Campaign.to_string ~options ~library:lib_src r)
       (Campaign.to_string ~options ~library:lib_src again)
 
+(* Depth 0 would retire every target as a vacuous [Complete] without
+   ever calling it: the campaign refuses to start. *)
+let test_depth_zero_rejected () =
+  match Campaign.run ~options:(O.make ~depth:0 ()) lib_src with
+  | Ok _ -> Alcotest.fail "depth-0 campaign ran"
+  | Error msg ->
+    Alcotest.(check bool) "error names the depth" true (Str_contains.contains msg "depth")
+
 let test_codec_rejects_single_shot () =
   match Campaign.of_string "dart-checkpoint v2\nend\n" with
   | Ok _ -> Alcotest.fail "single-shot checkpoint accepted"
@@ -815,6 +823,7 @@ let suite =
       test_json_phases_line;
     Alcotest.test_case "status snapshot at campaign exit" `Quick
       test_campaign_status_file;
+    Alcotest.test_case "depth 0 rejected" `Quick test_depth_zero_rejected;
     Alcotest.test_case "checkpoint codec round-trips" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec rejects single-shot checkpoints" `Quick
       test_codec_rejects_single_shot;

@@ -171,6 +171,49 @@ void step(int msg) {
   expect_no_bug "depth 1 blind" (dart ~depth:1 (src, "step"));
   expect_bug "depth 2 sees it" (dart ~depth:2 (src, "step"))
 
+(* Depth 0 would generate a driver that never calls the toplevel: the
+   search would run no user code and claim a vacuous COMPLETE. *)
+let test_depth_zero_rejected () =
+  let ast = Minic.Parser.parse_program "void f(int x) { if (x == 3) abort(); }" in
+  Alcotest.check_raises "generate refuses depth 0"
+    (Invalid_argument "Driver_gen.generate: depth must be positive") (fun () ->
+      ignore (Dart.Driver_gen.generate ast ~toplevel:"f" ~depth:0))
+
+(* The same refusal at the command line, for the single-target search,
+   a campaign and a coverage run: a usage error (exit 2) naming the
+   flag. *)
+let test_dartc_depth_zero () =
+  let exe = Filename.concat (Sys.getcwd ()) "../bin/dartc.exe" in
+  let src = Filename.temp_file "dart_depth" ".mc" in
+  let err = Filename.temp_file "dart_depth" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ src; err ])
+    (fun () ->
+      let oc = open_out_bin src in
+      output_string oc "void f(int x) { if (x == 3) abort(); }\n";
+      close_out oc;
+      let run args =
+        let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+        let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+        let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin devnull fd in
+        Unix.close fd;
+        Unix.close devnull;
+        let _, status = Unix.waitpid [] pid in
+        let ic = open_in_bin err in
+        let msg = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        (status, msg)
+      in
+      List.iter
+        (fun (what, args) ->
+          let status, msg = run args in
+          Alcotest.(check bool) (what ^ ": exit 2") true (status = Unix.WEXITED 2);
+          Alcotest.(check bool) (what ^ ": names the flag") true
+            (Str_contains.contains msg "--depth must be positive"))
+        [ ("dartc", [ src; "-t"; "f"; "--depth"; "0" ]);
+          ("dartc campaign", [ "campaign"; src; "--depth"; "0" ]);
+          ("dartc cover", [ "cover"; src; "-t"; "f"; "--depth"; "0" ]) ])
+
 let test_stop_on_first_bug_false () =
   (* Collect multiple distinct bugs in one search. *)
   let src = {|
@@ -363,6 +406,8 @@ let suite =
     Alcotest.test_case "strategies" `Quick test_strategies;
     Alcotest.test_case "library black box" `Quick test_library_black_box;
     Alcotest.test_case "depth semantics" `Quick test_depth_semantics;
+    Alcotest.test_case "depth 0 rejected" `Quick test_depth_zero_rejected;
+    Alcotest.test_case "dartc rejects depth 0" `Quick test_dartc_depth_zero;
     Alcotest.test_case "collect all bugs" `Quick test_stop_on_first_bug_false;
     Alcotest.test_case "random finds easy bugs" `Quick test_random_search_finds_easy_bug;
     Alcotest.test_case "determinism" `Quick test_determinism;

@@ -4,7 +4,9 @@
    even when both directions drift together; these pin the exact
    spelling, so a codec change that alters a byte fails here. The
    fixtures under golden/ were captured from the writers before they
-   were consolidated. *)
+   were consolidated. One more fixture is a search report, captured
+   before the solve caches and solver routes were merged: its solver
+   and cache counters pin the solve path. *)
 
 module D = Dart.Driver
 
@@ -45,9 +47,7 @@ let meta =
   { Dart.Checkpoint.m_seed = 42;
     m_depth = 3;
     m_max_runs = 1000;
-    m_strategy = Dart.Strategy.Bfs;
-    m_incremental = true;
-    m_shared_cache = false }
+    m_strategy = Dart.Strategy.Bfs }
 
 let campaign_options =
   D.Options.make ~seed:11 ~depth:2 ~max_runs:600 ~per_function_runs:150 ~stop_on_first_bug:false
@@ -148,7 +148,14 @@ let rendered () =
       ^ Dart.Status.to_json
           { status with Dart.Status.st_mode = Dart.Status.Run; st_budget_ns = None; st_round = 0 }
       ^ "\n" );
-    ("campaign.json", drop_phases (Dart.Campaign.to_json campaign_report)) ]
+    ("campaign.json", drop_phases (Dart.Campaign.to_json campaign_report));
+    (* Every counter of a real search: a change to the solve cache or
+       the solver route must not move a hit, a miss or a query. *)
+    ( "ac_controller_depth3.txt",
+      let src, toplevel = Workloads.Paper_examples.ac_controller in
+      D.report_to_string
+        (D.test_source ~options:(D.Options.make ~seed:42 ~depth:3 ()) ~toplevel src)
+      ^ "\n" ) ]
 
 let read_fixture name =
   let ic = open_in_bin (Filename.concat "golden" name) in
