@@ -973,6 +973,16 @@ let timing_benches () =
     Test.make ~name:"e9 concolic: one instrumented oSIP-function run"
       (Staged.stage (run_prog prog true (Dart_util.Prng.create 7)))
   in
+  (* Front-end layer: the generated oSIP library (seed 7, 120 functions)
+     that a campaign re-parses once per target, lexed alone and then
+     lexed and parsed. *)
+  let frontend_tests =
+    let src, _ = Workloads.Osip_sim.generate ~seed:7 ~n:120 in
+    [ Test.make ~name:"frontend lex oSIP library"
+        (Staged.stage (fun () -> Minic.Lexer.tokenize src));
+      Test.make ~name:"frontend parse oSIP library"
+        (Staged.stage (fun () -> Minic.Parser.parse_program src)) ]
+  in
   (* Arithmetic layer under the solver and the symbolic shadow: each
      operation once on solver-sized operands (a small coefficient and a
      32-bit constant, the native path) and once with a 2^70 operand (the
@@ -997,7 +1007,7 @@ let timing_benches () =
   let tests =
     [ parse_test; concrete_test; concolic_test; ns_run_test; solver_fast_test;
       solver_simplex_test; osip_test ]
-    @ arith_tests
+    @ frontend_tests @ arith_tests
   in
   let quota = if !quick then 0.2 else 0.5 in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None () in

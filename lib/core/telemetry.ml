@@ -317,9 +317,12 @@ let event_of_json line =
 
 (* ---- sinks -------------------------------------------------------------------- *)
 
+(* The buffer starts at 64 slots on the first emit and doubles until it
+   reaches [cap]; only a full-size ring wraps. A per-slice ring sized for
+   a whole worker's trace therefore costs what its slice emits. *)
 type ring_state = {
   cap : int;
-  mutable arr : event array; (* allocated lazily on the first emit *)
+  mutable arr : event array; (* length <= cap; grown on demand *)
   mutable next : int; (* next write slot *)
   mutable len : int; (* filled slots, <= cap *)
   mutable total : int;
@@ -347,7 +350,12 @@ let emit sink ev =
   match sink with
   | Null -> ()
   | Ring r ->
-    if Array.length r.arr = 0 then r.arr <- Array.make r.cap ev;
+    let size = Array.length r.arr in
+    if r.next = size && size < r.cap then begin
+      let grown = Array.make (min r.cap (max 64 (2 * size))) ev in
+      Array.blit r.arr 0 grown 0 size;
+      r.arr <- grown
+    end;
     r.arr.(r.next) <- ev;
     r.next <- (r.next + 1) mod r.cap;
     if r.len < r.cap then r.len <- r.len + 1 else r.lost <- r.lost + 1;

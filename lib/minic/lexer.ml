@@ -1,30 +1,9 @@
 exception Error of Loc.t * string
 
-let keyword_table =
-  [ ("int", Token.KW_INT);
-    ("char", Token.KW_CHAR);
-    ("void", Token.KW_VOID);
-    ("struct", Token.KW_STRUCT);
-    ("extern", Token.KW_EXTERN);
-    ("if", Token.KW_IF);
-    ("else", Token.KW_ELSE);
-    ("while", Token.KW_WHILE);
-    ("do", Token.KW_DO);
-    ("for", Token.KW_FOR);
-    ("return", Token.KW_RETURN);
-    ("break", Token.KW_BREAK);
-    ("continue", Token.KW_CONTINUE);
-    ("sizeof", Token.KW_SIZEOF);
-    ("NULL", Token.KW_NULL);
-    ("switch", Token.KW_SWITCH);
-    ("case", Token.KW_CASE);
-    ("default", Token.KW_DEFAULT);
-    ("enum", Token.KW_ENUM) ]
-
-let is_digit c = c >= '0' && c <= '9'
-let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_ident_char c = is_ident_start c || is_digit c
+(* The scanner reads [src] by index with explicit bounds checks and
+   character matches: no [char option] on the per-character paths, no
+   polymorphic compare, and no module-level tables (keywords are a
+   string [match]), so startup allocates nothing. *)
 
 type state = {
   src : string;
@@ -35,220 +14,211 @@ type state = {
 }
 
 let loc st = Loc.make ~file:st.file ~line:st.line ~col:(st.pos - st.bol + 1)
+let at_end st = st.pos >= String.length st.src
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+(* The character [k] past the cursor, or ['\000'] beyond the end: only
+   ever matched against non-NUL characters, so the sentinel is safe. *)
+let peek_at st k =
+  if st.pos + k < String.length st.src then String.unsafe_get st.src (st.pos + k) else '\000'
 
 let advance st =
-  (match peek st with
-   | Some '\n' ->
-     st.line <- st.line + 1;
-     st.bol <- st.pos + 1
-   | Some _ | None -> ());
+  if (not (at_end st)) && String.unsafe_get st.src st.pos = '\n' then begin
+    st.line <- st.line + 1;
+    st.bol <- st.pos + 1
+  end;
   st.pos <- st.pos + 1
 
 let error st msg = raise (Error (loc st, msg))
 
-let rec skip_blank_and_comments st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-    advance st;
-    skip_blank_and_comments st
-  | Some '/' when peek2 st = Some '/' ->
-    while peek st <> None && peek st <> Some '\n' do
-      advance st
-    done;
-    skip_blank_and_comments st
-  | Some '/' when peek2 st = Some '*' ->
-    let start = loc st in
-    advance st;
-    advance st;
-    let rec eat () =
-      match (peek st, peek2 st) with
-      | Some '*', Some '/' ->
-        advance st;
-        advance st
-      | Some _, _ ->
-        advance st;
-        eat ()
-      | None, _ -> raise (Error (start, "unterminated comment"))
-    in
-    eat ();
-    skip_blank_and_comments st
-  | Some _ | None -> ()
+(* Advance past characters satisfying [ok]; none of them is a newline. *)
+let skip_while st ok =
+  while (not (at_end st)) && ok (String.unsafe_get st.src st.pos) do
+    st.pos <- st.pos + 1
+  done
 
-let lex_number st =
-  let start = st.pos in
-  if peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X') then begin
-    advance st;
-    advance st;
-    let hstart = st.pos in
-    while (match peek st with Some c -> is_hex_digit c | None -> false) do
-      advance st
-    done;
-    if st.pos = hstart then error st "expected hexadecimal digits after 0x";
-    Token.INT_LIT (int_of_string (String.sub st.src start (st.pos - start)))
-  end
-  else begin
-    while (match peek st with Some c -> is_digit c | None -> false) do
-      advance st
-    done;
-    Token.INT_LIT (int_of_string (String.sub st.src start (st.pos - start)))
-  end
+let is_digit = function '0' .. '9' -> true | _ -> false
+let is_hex_digit = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
+let is_ident_char = function 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true | _ -> false
+
+let rec skip_blank_and_comments st =
+  if not (at_end st) then
+    match String.unsafe_get st.src st.pos with
+    | ' ' | '\t' | '\r' | '\n' ->
+      advance st;
+      skip_blank_and_comments st
+    | '/' when peek_at st 1 = '/' ->
+      skip_while st (fun c -> c <> '\n');
+      skip_blank_and_comments st
+    | '/' when peek_at st 1 = '*' ->
+      let start = loc st in
+      st.pos <- st.pos + 2;
+      let rec eat () =
+        if at_end st then raise (Error (start, "unterminated comment"))
+        else if String.unsafe_get st.src st.pos = '*' && peek_at st 1 = '/' then
+          st.pos <- st.pos + 2
+        else begin
+          advance st;
+          eat ()
+        end
+      in
+      eat ();
+      skip_blank_and_comments st
+    | _ -> ()
+
+(* [start] is the literal's location: an out-of-range literal is
+   reported there. Accepted spellings are [int_of_string]'s. *)
+let lex_number st start =
+  let first = st.pos in
+  (match (String.unsafe_get st.src first, peek_at st 1) with
+   | '0', ('x' | 'X') ->
+     st.pos <- st.pos + 2;
+     skip_while st is_hex_digit;
+     if st.pos = first + 2 then error st "expected hexadecimal digits after 0x"
+   | _ -> skip_while st is_digit);
+  match int_of_string_opt (String.sub st.src first (st.pos - first)) with
+  | Some n -> Token.INT_LIT n
+  | None -> raise (Error (start, "integer literal out of range"))
 
 let lex_escaped st =
   (* Called after the backslash has been consumed. *)
-  match peek st with
-  | Some 'n' -> advance st; '\n'
-  | Some 't' -> advance st; '\t'
-  | Some 'r' -> advance st; '\r'
-  | Some '0' -> advance st; '\000'
-  | Some '\\' -> advance st; '\\'
-  | Some '\'' -> advance st; '\''
-  | Some '"' -> advance st; '"'
-  | Some c -> error st (Printf.sprintf "unknown escape '\\%c'" c)
-  | None -> error st "unterminated escape"
+  if at_end st then error st "unterminated escape";
+  let c =
+    match String.unsafe_get st.src st.pos with
+    | 'n' -> '\n'
+    | 't' -> '\t'
+    | 'r' -> '\r'
+    | '0' -> '\000'
+    | ('\\' | '\'' | '"') as c -> c
+    | c -> error st (Printf.sprintf "unknown escape '\\%c'" c)
+  in
+  st.pos <- st.pos + 1;
+  c
 
 let lex_char_lit st =
-  advance st; (* opening quote *)
+  st.pos <- st.pos + 1; (* opening quote *)
   let c =
-    match peek st with
-    | Some '\\' ->
-      advance st;
+    match peek_at st 0 with
+    | '\\' ->
+      st.pos <- st.pos + 1;
       lex_escaped st
-    | Some c when c <> '\'' ->
+    | '\'' -> error st "empty character literal"
+    | _ when at_end st -> error st "empty character literal"
+    | c ->
       advance st;
       c
-    | Some _ | None -> error st "empty character literal"
   in
-  (match peek st with
-   | Some '\'' -> advance st
-   | Some _ | None -> error st "unterminated character literal");
+  if peek_at st 0 = '\'' then st.pos <- st.pos + 1
+  else error st "unterminated character literal";
   Token.CHAR_LIT c
 
 let lex_string_lit st =
-  advance st; (* opening quote *)
+  st.pos <- st.pos + 1; (* opening quote *)
   let buf = Buffer.create 16 in
   let rec go () =
-    match peek st with
-    | Some '"' -> advance st
-    | Some '\\' ->
-      advance st;
+    if at_end st then error st "unterminated string literal";
+    match String.unsafe_get st.src st.pos with
+    | '"' -> st.pos <- st.pos + 1
+    | '\\' ->
+      st.pos <- st.pos + 1;
       Buffer.add_char buf (lex_escaped st);
       go ()
-    | Some c ->
+    | c ->
       advance st;
       Buffer.add_char buf c;
       go ()
-    | None -> error st "unterminated string literal"
   in
   go ();
   Token.STRING_LIT (Buffer.contents buf)
 
 let lex_ident_or_keyword st =
   let start = st.pos in
-  while (match peek st with Some c -> is_ident_char c | None -> false) do
-    advance st
-  done;
-  let s = String.sub st.src start (st.pos - start) in
-  match List.assoc_opt s keyword_table with
-  | Some kw -> kw
-  | None -> Token.IDENT s
+  skip_while st is_ident_char;
+  match String.sub st.src start (st.pos - start) with
+  | "int" -> Token.KW_INT
+  | "char" -> Token.KW_CHAR
+  | "void" -> Token.KW_VOID
+  | "struct" -> Token.KW_STRUCT
+  | "extern" -> Token.KW_EXTERN
+  | "if" -> Token.KW_IF
+  | "else" -> Token.KW_ELSE
+  | "while" -> Token.KW_WHILE
+  | "do" -> Token.KW_DO
+  | "for" -> Token.KW_FOR
+  | "return" -> Token.KW_RETURN
+  | "break" -> Token.KW_BREAK
+  | "continue" -> Token.KW_CONTINUE
+  | "sizeof" -> Token.KW_SIZEOF
+  | "NULL" -> Token.KW_NULL
+  | "switch" -> Token.KW_SWITCH
+  | "case" -> Token.KW_CASE
+  | "default" -> Token.KW_DEFAULT
+  | "enum" -> Token.KW_ENUM
+  | s -> Token.IDENT s
 
-(* Multi-character operators must be tried longest-first. *)
-let lex_operator st =
-  let two a b tok =
-    if peek st = Some a && peek2 st = Some b then begin
-      advance st;
-      advance st;
-      Some tok
-    end
-    else None
-  in
-  let candidates =
-    [ lazy (two '-' '>' Token.ARROW);
-      lazy (two '&' '&' Token.AMPAMP);
-      lazy (two '|' '|' Token.PIPEPIPE);
-      lazy (two '=' '=' Token.EQEQ);
-      lazy (two '!' '=' Token.NEQ);
-      lazy (two '<' '=' Token.LE);
-      lazy (two '>' '=' Token.GE);
-      lazy (two '<' '<' Token.SHL);
-      lazy (two '>' '>' Token.SHR);
-      lazy (two '+' '=' Token.PLUSEQ);
-      lazy (two '-' '=' Token.MINUSEQ);
-      lazy (two '*' '=' Token.STAREQ);
-      lazy (two '/' '=' Token.SLASHEQ);
-      lazy (two '+' '+' Token.PLUSPLUS);
-      lazy (two '-' '-' Token.MINUSMINUS) ]
-  in
-  let rec try_two = function
-    | [] -> None
-    | c :: rest -> (match Lazy.force c with Some t -> Some t | None -> try_two rest)
-  in
-  match try_two candidates with
-  | Some t -> Some t
-  | None ->
-    let one tok =
-      advance st;
-      Some tok
-    in
-    (match peek st with
-     | Some '(' -> one Token.LPAREN
-     | Some ')' -> one Token.RPAREN
-     | Some '{' -> one Token.LBRACE
-     | Some '}' -> one Token.RBRACE
-     | Some '[' -> one Token.LBRACKET
-     | Some ']' -> one Token.RBRACKET
-     | Some ';' -> one Token.SEMI
-     | Some ',' -> one Token.COMMA
-     | Some '.' -> one Token.DOT
-     | Some '?' -> one Token.QUESTION
-     | Some ':' -> one Token.COLON
-     | Some '+' -> one Token.PLUS
-     | Some '-' -> one Token.MINUS
-     | Some '*' -> one Token.STAR
-     | Some '/' -> one Token.SLASH
-     | Some '%' -> one Token.PERCENT
-     | Some '&' -> one Token.AMP
-     | Some '|' -> one Token.PIPE
-     | Some '^' -> one Token.CARET
-     | Some '~' -> one Token.TILDE
-     | Some '!' -> one Token.BANG
-     | Some '<' -> one Token.LT
-     | Some '>' -> one Token.GT
-     | Some '=' -> one Token.ASSIGN
-     | Some _ | None -> None)
+(* One match on the current character; a two-character operator is
+   chosen by a guard on the next one. *)
+let one st tok = st.pos <- st.pos + 1; tok
+let two st tok = st.pos <- st.pos + 2; tok
+
+let lex_operator st c =
+  match (c, peek_at st 1) with
+  | '-', '>' -> two st Token.ARROW
+  | '-', '=' -> two st Token.MINUSEQ
+  | '-', '-' -> two st Token.MINUSMINUS
+  | '&', '&' -> two st Token.AMPAMP
+  | '|', '|' -> two st Token.PIPEPIPE
+  | '=', '=' -> two st Token.EQEQ
+  | '!', '=' -> two st Token.NEQ
+  | '<', '=' -> two st Token.LE
+  | '<', '<' -> two st Token.SHL
+  | '>', '=' -> two st Token.GE
+  | '>', '>' -> two st Token.SHR
+  | '+', '=' -> two st Token.PLUSEQ
+  | '+', '+' -> two st Token.PLUSPLUS
+  | '*', '=' -> two st Token.STAREQ
+  | '/', '=' -> two st Token.SLASHEQ
+  | '(', _ -> one st Token.LPAREN
+  | ')', _ -> one st Token.RPAREN
+  | '{', _ -> one st Token.LBRACE
+  | '}', _ -> one st Token.RBRACE
+  | '[', _ -> one st Token.LBRACKET
+  | ']', _ -> one st Token.RBRACKET
+  | ';', _ -> one st Token.SEMI
+  | ',', _ -> one st Token.COMMA
+  | '.', _ -> one st Token.DOT
+  | '?', _ -> one st Token.QUESTION
+  | ':', _ -> one st Token.COLON
+  | '+', _ -> one st Token.PLUS
+  | '-', _ -> one st Token.MINUS
+  | '*', _ -> one st Token.STAR
+  | '/', _ -> one st Token.SLASH
+  | '%', _ -> one st Token.PERCENT
+  | '&', _ -> one st Token.AMP
+  | '|', _ -> one st Token.PIPE
+  | '^', _ -> one st Token.CARET
+  | '~', _ -> one st Token.TILDE
+  | '!', _ -> one st Token.BANG
+  | '<', _ -> one st Token.LT
+  | '>', _ -> one st Token.GT
+  | '=', _ -> one st Token.ASSIGN
+  | _ -> error st (Printf.sprintf "unexpected character %C" c)
 
 let tokenize ?(file = "<input>") src =
   let st = { src; file; pos = 0; line = 1; bol = 0 } in
-  let toks = ref [] in
-  let emit tok l = toks := (tok, l) :: !toks in
-  let rec go () =
+  let rec go acc =
     skip_blank_and_comments st;
     let l = loc st in
-    match peek st with
-    | None -> emit Token.EOF l
-    | Some c when is_digit c ->
-      emit (lex_number st) l;
-      go ()
-    | Some c when is_ident_start c ->
-      emit (lex_ident_or_keyword st) l;
-      go ()
-    | Some '\'' ->
-      emit (lex_char_lit st) l;
-      go ()
-    | Some '"' ->
-      emit (lex_string_lit st) l;
-      go ()
-    | Some c ->
-      (match lex_operator st with
-       | Some tok ->
-         emit tok l;
-         go ()
-       | None -> error st (Printf.sprintf "unexpected character %C" c))
+    if at_end st then Array.of_list (List.rev ((Token.EOF, l) :: acc))
+    else begin
+      let tok =
+        match String.unsafe_get src st.pos with
+        | '0' .. '9' -> lex_number st l
+        | 'a' .. 'z' | 'A' .. 'Z' | '_' -> lex_ident_or_keyword st
+        | '\'' -> lex_char_lit st
+        | '"' -> lex_string_lit st
+        | c -> lex_operator st c
+      in
+      go ((tok, l) :: acc)
+    end
   in
-  go ();
-  Array.of_list (List.rev !toks)
+  go []

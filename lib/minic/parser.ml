@@ -13,15 +13,19 @@ let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
 
 let error st msg = raise (Error (peek_loc st, msg))
 
+(* [expect]/[accept]/[at] only ever take constant tokens, which are
+   immediates: physical equality is constructor equality. *)
+let at st tok = peek st == tok
+
 let expect st tok =
-  if peek st = tok then advance st
+  if at st tok then advance st
   else
     error st
       (Printf.sprintf "expected %s but found %s" (Token.to_string tok)
          (Token.to_string (peek st)))
 
 let accept st tok =
-  if peek st = tok then begin
+  if at st tok then begin
     advance st;
     true
   end
@@ -96,6 +100,27 @@ let parse_declarator st base =
 
 (* ---- expressions ---------------------------------------------------------- *)
 
+(* Binary operators below [&&], loosest first: [|], [^], [&], equality,
+   relational, shift, additive, multiplicative. *)
+let binop_info = function
+  | Token.PIPE -> Some (1, Ast.Bor)
+  | Token.CARET -> Some (2, Ast.Bxor)
+  | Token.AMP -> Some (3, Ast.Band)
+  | Token.EQEQ -> Some (4, Ast.Eq)
+  | Token.NEQ -> Some (4, Ast.Ne)
+  | Token.LT -> Some (5, Ast.Lt)
+  | Token.LE -> Some (5, Ast.Le)
+  | Token.GT -> Some (5, Ast.Gt)
+  | Token.GE -> Some (5, Ast.Ge)
+  | Token.SHL -> Some (6, Ast.Shl)
+  | Token.SHR -> Some (6, Ast.Shr)
+  | Token.PLUS -> Some (7, Ast.Add)
+  | Token.MINUS -> Some (7, Ast.Sub)
+  | Token.STAR -> Some (8, Ast.Mul)
+  | Token.SLASH -> Some (8, Ast.Div)
+  | Token.PERCENT -> Some (8, Ast.Mod)
+  | _ -> None
+
 let rec parse_expr_prec st =
   let loc = peek_loc st in
   let cond = parse_or st in
@@ -122,45 +147,27 @@ and parse_and st =
   let rec go lhs =
     let loc = peek_loc st in
     if accept st Token.AMPAMP then begin
-      let rhs = parse_bitor st in
+      let rhs = parse_binop st 1 in
       go (Ast.mk_expr ~loc (Ast.Eand (lhs, rhs)))
     end
     else lhs
   in
-  go (parse_bitor st)
+  go (parse_binop st 1)
 
-and parse_binop_level st next ops =
+(* Precedence climbing over [binop_info]: operators at or above
+   [min_prec] extend [lhs] leftwards, and each right operand binds only
+   tighter operators, so every level stays left-associative. *)
+and parse_binop st min_prec =
   let rec go lhs =
-    let loc = peek_loc st in
-    match List.assoc_opt (peek st) ops with
-    | Some op ->
+    match binop_info (peek st) with
+    | Some (prec, op) when prec >= min_prec ->
+      let loc = peek_loc st in
       advance st;
-      let rhs = next st in
+      let rhs = parse_binop st (prec + 1) in
       go (Ast.mk_expr ~loc (Ast.Ebinop (op, lhs, rhs)))
-    | None -> lhs
+    | Some _ | None -> lhs
   in
-  go (next st)
-
-and parse_bitor st = parse_binop_level st parse_bitxor [ (Token.PIPE, Ast.Bor) ]
-and parse_bitxor st = parse_binop_level st parse_bitand [ (Token.CARET, Ast.Bxor) ]
-and parse_bitand st = parse_binop_level st parse_equality [ (Token.AMP, Ast.Band) ]
-
-and parse_equality st =
-  parse_binop_level st parse_relational [ (Token.EQEQ, Ast.Eq); (Token.NEQ, Ast.Ne) ]
-
-and parse_relational st =
-  parse_binop_level st parse_shift
-    [ (Token.LT, Ast.Lt); (Token.LE, Ast.Le); (Token.GT, Ast.Gt); (Token.GE, Ast.Ge) ]
-
-and parse_shift st =
-  parse_binop_level st parse_additive [ (Token.SHL, Ast.Shl); (Token.SHR, Ast.Shr) ]
-
-and parse_additive st =
-  parse_binop_level st parse_multiplicative [ (Token.PLUS, Ast.Add); (Token.MINUS, Ast.Sub) ]
-
-and parse_multiplicative st =
-  parse_binop_level st parse_unary
-    [ (Token.STAR, Ast.Mul); (Token.SLASH, Ast.Div); (Token.PERCENT, Ast.Mod) ]
+  go (parse_unary st)
 
 and parse_unary st =
   let loc = peek_loc st in
@@ -357,14 +364,14 @@ and parse_stmt st =
     advance st;
     expect st Token.LPAREN;
     let init =
-      if peek st = Token.SEMI then None
+      if at st Token.SEMI then None
       else if starts_type st then Some (parse_decl_stmt st ~consume_semi:false)
       else Some (parse_simple st)
     in
     expect st Token.SEMI;
-    let cond = if peek st = Token.SEMI then None else Some (parse_expr_prec st) in
+    let cond = if at st Token.SEMI then None else Some (parse_expr_prec st) in
     expect st Token.SEMI;
-    let step = if peek st = Token.RPAREN then None else Some (parse_simple st) in
+    let step = if at st Token.RPAREN then None else Some (parse_simple st) in
     expect st Token.RPAREN;
     let body = parse_stmt_as_block st in
     Ast.mk_stmt ~loc (Ast.Sfor (init, cond, step, body))
@@ -410,7 +417,7 @@ and parse_stmt st =
     Ast.mk_stmt ~loc (Ast.Sswitch (scrutinee, groups))
   | Token.KW_RETURN ->
     advance st;
-    let e = if peek st = Token.SEMI then None else Some (parse_expr_prec st) in
+    let e = if at st Token.SEMI then None else Some (parse_expr_prec st) in
     expect st Token.SEMI;
     Ast.mk_stmt ~loc (Ast.Sreturn e)
   | Token.KW_BREAK ->
@@ -454,7 +461,7 @@ and parse_block st =
 let parse_params st =
   expect st Token.LPAREN;
   if accept st Token.RPAREN then []
-  else if peek st = Token.KW_VOID && peek_ahead st 1 = Token.RPAREN then begin
+  else if at st Token.KW_VOID && peek_ahead st 1 == Token.RPAREN then begin
     advance st;
     advance st;
     []
@@ -505,7 +512,7 @@ let parse_enum_def st =
     let acc = (name, value) :: acc in
     if accept st Token.COMMA then begin
       (* allow a trailing comma *)
-      if peek st = Token.RBRACE then begin
+      if at st Token.RBRACE then begin
         advance st;
         List.rev acc
       end
@@ -524,16 +531,16 @@ let parse_global st =
   let loc = peek_loc st in
   (* A struct *definition* is 'struct' IDENT '{'; otherwise 'struct'
      begins a type as usual. An enum definition is 'enum' [IDENT] '{'. *)
-  if peek st = Token.KW_ENUM
-     && (peek_ahead st 1 = Token.LBRACE || peek_ahead st 2 = Token.LBRACE)
+  if at st Token.KW_ENUM
+     && (peek_ahead st 1 == Token.LBRACE || peek_ahead st 2 == Token.LBRACE)
   then parse_enum_def st
-  else if peek st = Token.KW_STRUCT && peek_ahead st 2 = Token.LBRACE then
+  else if at st Token.KW_STRUCT && peek_ahead st 2 == Token.LBRACE then
     Ast.Gstruct (parse_struct_def st)
   else begin
     let extern = accept st Token.KW_EXTERN in
     let base = parse_base_type st in
     let ty, name = parse_declarator st base in
-    if peek st = Token.LPAREN then begin
+    if at st Token.LPAREN then begin
       let fparams = parse_params st in
       if accept st Token.SEMI then
         Ast.Gfun { fname = name; fret = ty; fparams; fbody = None; floc = loc }
@@ -546,7 +553,7 @@ let parse_global st =
     else begin
       let ginit = if accept st Token.ASSIGN then Some (parse_initializer st) else None in
       expect st Token.SEMI;
-      if extern && ginit <> None then error st "an extern variable cannot have an initializer";
+      if extern && Option.is_some ginit then error st "an extern variable cannot have an initializer";
       Ast.Gvar { gty = ty; gname = name; ginit; gextern = extern; gloc = loc }
     end
   end
@@ -554,7 +561,7 @@ let parse_global st =
 let parse_program ?(file = "<input>") src =
   let toks = Lexer.tokenize ~file src in
   let st = { toks; pos = 0 } in
-  let rec go acc = if peek st = Token.EOF then List.rev acc else go (parse_global st :: acc) in
+  let rec go acc = if at st Token.EOF then List.rev acc else go (parse_global st :: acc) in
   go []
 
 let parse_expr ?(file = "<input>") src =

@@ -179,40 +179,61 @@ let test_depth_zero_rejected () =
     (Invalid_argument "Driver_gen.generate: depth must be positive") (fun () ->
       ignore (Dart.Driver_gen.generate ast ~toplevel:"f" ~depth:0))
 
-(* The same refusal at the command line, for the single-target search,
-   a campaign and a coverage run: a usage error (exit 2) naming the
-   flag. *)
-let test_dartc_depth_zero () =
+(* Run the built dartc on [args] with [src] written to a temporary
+   [.mc] file (the file's path replaces ["SRC"] in [args]); returns the
+   exit status, the stderr text and the source path. *)
+let run_dartc src_text args =
   let exe = Filename.concat (Sys.getcwd ()) "../bin/dartc.exe" in
-  let src = Filename.temp_file "dart_depth" ".mc" in
-  let err = Filename.temp_file "dart_depth" ".err" in
+  let src = Filename.temp_file "dart_cli" ".mc" in
+  let err = Filename.temp_file "dart_cli" ".err" in
   Fun.protect
     ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ src; err ])
     (fun () ->
       let oc = open_out_bin src in
-      output_string oc "void f(int x) { if (x == 3) abort(); }\n";
+      output_string oc src_text;
       close_out oc;
-      let run args =
-        let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-        let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-        let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin devnull fd in
-        Unix.close fd;
-        Unix.close devnull;
-        let _, status = Unix.waitpid [] pid in
-        let ic = open_in_bin err in
-        let msg = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        (status, msg)
-      in
-      List.iter
-        (fun (what, args) ->
-          let status, msg = run args in
-          Alcotest.(check bool) (what ^ ": exit 2") true (status = Unix.WEXITED 2);
-          Alcotest.(check bool) (what ^ ": names the flag") true
-            (Str_contains.contains msg "--depth must be positive"))
-        [ ("dartc", [ src; "-t"; "f"; "--depth"; "0" ]);
-          ("dartc campaign", [ "campaign"; src; "--depth"; "0" ]);
-          ("dartc cover", [ "cover"; src; "-t"; "f"; "--depth"; "0" ]) ])
+      let args = List.map (fun a -> if a = "SRC" then src else a) args in
+      let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin devnull fd in
+      Unix.close fd;
+      Unix.close devnull;
+      let _, status = Unix.waitpid [] pid in
+      let ic = open_in_bin err in
+      let msg = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      (status, msg, src))
+
+(* The same refusal at the command line, for the single-target search,
+   a campaign and a coverage run: a usage error (exit 2) naming the
+   flag. *)
+let test_dartc_depth_zero () =
+  List.iter
+    (fun (what, args) ->
+      let status, msg, _ = run_dartc "void f(int x) { if (x == 3) abort(); }\n" args in
+      Alcotest.(check bool) (what ^ ": exit 2") true (status = Unix.WEXITED 2);
+      Alcotest.(check bool) (what ^ ": names the flag") true
+        (Str_contains.contains msg "--depth must be positive"))
+    [ ("dartc", [ "SRC"; "-t"; "f"; "--depth"; "0" ]);
+      ("dartc campaign", [ "campaign"; "SRC"; "--depth"; "0" ]);
+      ("dartc cover", [ "cover"; "SRC"; "-t"; "f"; "--depth"; "0" ]) ]
+
+(* An integer literal beyond the native range is a lexical error at
+   the literal, reported as [file:line:col] with exit 2, in both the
+   single-target and the campaign command. *)
+let test_dartc_literal_out_of_range () =
+  List.iter
+    (fun (what, text, args) ->
+      let status, msg, src = run_dartc text args in
+      Alcotest.(check bool) (what ^ ": exit 2") true (status = Unix.WEXITED 2);
+      Alcotest.(check bool) (what ^ ": located message") true
+        (Str_contains.contains msg (src ^ ":1:24: error: integer literal out of range")))
+    (List.concat_map
+       (fun (lit, text) ->
+         [ ("dartc " ^ lit, text, [ "SRC"; "-t"; "f" ]);
+           ("dartc campaign " ^ lit, text, [ "campaign"; "SRC" ]) ])
+       [ ("decimal", "int f(int x) { if (x > 99999999999999999999) abort(); return 0; }\n");
+         ("hex", "int f(int x) { if (x > 0x1FFFFFFFFFFFFFFFF) abort(); return 0; }\n") ])
 
 let test_stop_on_first_bug_false () =
   (* Collect multiple distinct bugs in one search. *)
@@ -408,6 +429,8 @@ let suite =
     Alcotest.test_case "depth semantics" `Quick test_depth_semantics;
     Alcotest.test_case "depth 0 rejected" `Quick test_depth_zero_rejected;
     Alcotest.test_case "dartc rejects depth 0" `Quick test_dartc_depth_zero;
+    Alcotest.test_case "dartc rejects out-of-range literal" `Quick
+      test_dartc_literal_out_of_range;
     Alcotest.test_case "collect all bugs" `Quick test_stop_on_first_bug_false;
     Alcotest.test_case "random finds easy bugs" `Quick test_random_search_finds_easy_bug;
     Alcotest.test_case "determinism" `Quick test_determinism;

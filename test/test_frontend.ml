@@ -15,6 +15,17 @@ let test_lexer_basics () =
   (match toks "0x1F" with
    | [ Token.INT_LIT 31; Token.EOF ] -> ()
    | _ -> Alcotest.fail "hex literal");
+  (* Literals at the edge of the range keep [int_of_string]'s reading. *)
+  List.iter
+    (fun (src, n) ->
+      match toks src with
+      | [ Token.INT_LIT m; Token.EOF ] -> Alcotest.(check int) src n m
+      | _ -> Alcotest.failf "%s: expected one integer" src)
+    [ ("4611686018427387903", max_int);
+      ("0x3FFFFFFFFFFFFFFF", max_int);
+      ("0x4000000000000000", min_int);
+      ("0x7FFFFFFFFFFFFFFF", -1);
+      ("007", 7) ];
   (match toks "'a' '\\n' '\\0'" with
    | [ Token.CHAR_LIT 'a'; Token.CHAR_LIT '\n'; Token.CHAR_LIT '\000'; Token.EOF ] -> ()
    | _ -> Alcotest.fail "char literals");
@@ -48,12 +59,57 @@ let test_lexer_positions () =
   Alcotest.(check int) "line" 2 loc.Loc.line;
   Alcotest.(check int) "col" 3 loc.Loc.col
 
+(* Malformed inputs, each with the message and the location it must
+   be reported at: neither may move when the scanner changes. *)
 let test_lexer_errors () =
-  Alcotest.(check bool) "bad char" true
-    (try
-       ignore (Lexer.tokenize "int @ x");
-       false
-     with Lexer.Error _ -> true)
+  List.iter
+    (fun (what, src, (line, col), msg) ->
+      match Lexer.tokenize ~file:"t.mc" src with
+      | _ -> Alcotest.failf "%s: expected a lexical error" what
+      | exception Lexer.Error (l, m) ->
+        Alcotest.(check string) (what ^ ": message") msg m;
+        Alcotest.(check string) (what ^ ": location")
+          (Printf.sprintf "t.mc:%d:%d" line col) (Loc.to_string l))
+    [ ("unterminated comment", "int x; /* oops\n never closed", (1, 8), "unterminated comment");
+      ("unterminated string", "char *s = \"abc", (1, 15), "unterminated string literal");
+      ("string across lines", "char *s = \"abc\ndef", (2, 4), "unterminated string literal");
+      ("unterminated char", "char c = 'a;", (1, 12), "unterminated character literal");
+      ("char at end", "char c = 'a", (1, 12), "unterminated character literal");
+      ("empty char", "char c = '';", (1, 11), "empty character literal");
+      ("0x without digits", "int x = 0x;", (1, 11), "expected hexadecimal digits after 0x");
+      ("0x then non-hex", "int x =\n  0xg;", (2, 5), "expected hexadecimal digits after 0x");
+      ("unknown escape in char", "char c = '\\q';", (1, 12), "unknown escape '\\q'");
+      ("unknown escape in string", "char *s = \"a\\qb\";", (1, 14), "unknown escape '\\q'");
+      ("escape at end", "char *s = \"a\\", (1, 14), "unterminated escape");
+      ("at sign", "int @ x", (1, 5), "unexpected character '@'");
+      ("at sign after newlines", "\n\n   @", (3, 4), "unexpected character '@'");
+      ("NUL byte", "int x;\000", (1, 7), "unexpected character '\\000'");
+      ("decimal out of range", "int x = 99999999999999999999;", (1, 9),
+       "integer literal out of range");
+      ("max_int + 1", "int x = 4611686018427387904;", (1, 9), "integer literal out of range");
+      ("hex out of range", "int x = 0xFFFFFFFFFFFFFFFF;", (1, 9), "integer literal out of range") ]
+
+(* The oSIP front end pinned byte for byte: the token stream with
+   locations of examples/osip_library.mc, and the pretty-printed ASTs of
+   that file and of the generated seed-7, 120-function library. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_frontend_golden () =
+  let lib = "../examples/osip_library.mc" in
+  let src = read_file lib in
+  let buf = Buffer.create 65536 in
+  Array.iter
+    (fun (tok, l) ->
+      Buffer.add_string buf
+        (Printf.sprintf "%s %d:%d\n" (Token.to_string tok) l.Loc.line l.Loc.col))
+    (Lexer.tokenize ~file:lib src);
+  let check name actual =
+    Alcotest.(check string) name (read_file (Filename.concat "golden" name)) actual
+  in
+  check "osip_tokens.txt" (Buffer.contents buf);
+  check "osip_library_pretty.txt" (Pretty.program_to_string (Parser.parse_program src));
+  let gen, _ = Workloads.Osip_sim.generate ~seed:7 ~n:120 in
+  check "osip_gen7_n120_pretty.txt" (Pretty.program_to_string (Parser.parse_program gen))
 
 (* ---- parser ---------------------------------------------------------------- *)
 
@@ -346,6 +402,7 @@ let suite =
     Alcotest.test_case "lexer comments" `Quick test_lexer_comments;
     Alcotest.test_case "lexer positions" `Quick test_lexer_positions;
     Alcotest.test_case "lexer errors" `Quick test_lexer_errors;
+    Alcotest.test_case "front-end golden" `Quick test_frontend_golden;
     Alcotest.test_case "parser precedence" `Quick test_parser_precedence;
     Alcotest.test_case "parser postfix" `Quick test_parser_postfix;
     Alcotest.test_case "parser cast vs paren" `Quick test_parser_cast_vs_paren;

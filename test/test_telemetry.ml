@@ -43,6 +43,32 @@ let test_ring_dropped () =
   Alcotest.(check int) "one drop per overwrite" 6 (T.dropped r);
   Alcotest.(check int) "null never drops" 0 (T.dropped T.null)
 
+(* The ring grows its buffer on demand; what it reports must be what a
+   fixed [capacity]-slot ring reports, at every growth and wrap boundary. *)
+let test_ring_growth_boundaries () =
+  let check cap n =
+    let r = T.ring ~capacity:cap in
+    for i = 1 to n do
+      T.emit r (T.Run_start { run = i })
+    done;
+    let what = Printf.sprintf "cap %d, %d emits" cap n in
+    (* Fixed-array reference: a [cap]-slot array written at [i mod cap]. *)
+    let slots = Array.make cap 0 in
+    for i = 1 to n do
+      slots.((i - 1) mod cap) <- i
+    done;
+    let kept = min n cap in
+    let start = if n <= cap then 0 else n mod cap in
+    let expected = List.init kept (fun i -> slots.((start + i) mod cap)) in
+    let runs = List.map (function T.Run_start { run } -> run | _ -> -1) (T.events r) in
+    Alcotest.(check (list int)) (what ^ ": events") expected runs;
+    Alcotest.(check int) (what ^ ": total") n (T.emitted r);
+    Alcotest.(check int) (what ^ ": dropped") (n - kept) (T.dropped r)
+  in
+  List.iter
+    (fun cap -> List.iter (check cap) [ 0; 1; 63; 64; 65; cap; cap + 1; 3 * cap ])
+    [ 100; 64 ]
+
 let test_replay () =
   let src = T.ring ~capacity:8 and dst = T.ring ~capacity:8 in
   T.emit src (T.Run_start { run = 1 });
@@ -340,6 +366,7 @@ let suite =
   [ Alcotest.test_case "null sink" `Quick test_null_sink;
     Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
     Alcotest.test_case "ring dropped counter" `Quick test_ring_dropped;
+    Alcotest.test_case "ring growth boundaries" `Quick test_ring_growth_boundaries;
     Alcotest.test_case "hist buckets" `Quick test_hist_buckets;
     Alcotest.test_case "hist merge determinism" `Quick test_hist_merge_determinism;
     Alcotest.test_case "replay" `Quick test_replay;
