@@ -785,7 +785,7 @@ let experiment_chaos_soak () =
     ~measured:(describe clean t_clean);
   List.iter
     (fun bp ->
-      let fs = Dart_util.Faultsim.chaos ~seed:23 [ (Dart_util.Faultsim.Worker_crash, bp) ] in
+      let fs = Dart_util.Faultsim.make ~seed:23 [ (Dart_util.Faultsim.Worker_crash, None, Rate bp) ] in
       let r, t = campaign ~faultsim:fs () in
       row
         ~id:(Printf.sprintf "e19-chaos-%d" bp)

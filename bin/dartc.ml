@@ -209,21 +209,41 @@ let resume_arg =
            depth, strategy and run budget must match the checkpointed search; the resumed \
            search continues the exact run sequence of the uninterrupted one.")
 
+(* The one fault-spec grammar and its one parser, shared by --faultsim
+   and --chaos. *)
+let fault_spec_doc ~seed_flag =
+  Printf.sprintf
+    "comma-separated rules, each $(i,point[@key][:nth]) (fire once, on the $(i,nth) probe \
+     of $(i,point), default 1, \":?\" drawing $(i,nth) from 1..8; $(i,@key) counts only \
+     probes keyed $(i,key), a worker or target index) or $(i,point=rate) (fire on each \
+     probe with probability $(i,rate) in (0,1]), over the points solver_deadline, \
+     worker_crash, machine_step_limit and io_error. Draws are deterministic from $(b,%s)"
+    seed_flag
+
+let fault_plan ~flag ~seed = function
+  | None -> Ok Dart_util.Faultsim.off
+  | Some spec ->
+    Result.map_error (Printf.sprintf "%s: %s" flag) (Dart_util.Faultsim.of_spec ~seed spec)
+
 let faultsim_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "faultsim" ] ~docv:"SPEC"
         ~doc:
-          "Deterministic fault injection for resilience testing: comma-separated rules \
-           $(i,point[@key][:nth]) with points solver_deadline, worker_crash and \
-           machine_step_limit (\":?\" draws the occurrence from $(b,--faultsim-seed)).")
+          ("Deterministic fault injection for resilience testing: "
+          ^ fault_spec_doc ~seed_flag:"--faultsim-seed"
+          ^ ". A worker_crash rule needs --jobs > 1 (or 0)."))
 
 let faultsim_seed_arg =
   Arg.(
     value & opt int 0
     & info [ "faultsim-seed" ] ~docv:"N"
-        ~doc:"Seed for the \":?\" occurrence draws in $(b,--faultsim) rules.")
+        ~doc:"Seed for the $(b,--faultsim) draws (\":?\" occurrences and rates).")
+
+let jobs_range_msg =
+  Printf.sprintf "--jobs must be in 0..%d (the OCaml runtime's domain limit)"
+    Dart.Parallel.max_jobs
 
 let usage_error msg =
   Printf.eprintf "dartc: %s\n" msg;
@@ -237,7 +257,7 @@ let validate ~depth ~jobs ~portfolio ~strategy ~random_mode ~all_bugs ~no_cache 
     ~status =
   let table =
     [ (depth < 1, "--depth must be positive");
-      (jobs < 0, "--jobs must be >= 0");
+      (jobs < 0 || jobs > Dart.Parallel.max_jobs, jobs_range_msg);
       ( portfolio && strategy <> None,
         (* A portfolio cycles workers through its own strategy list: an
            explicit --strategy would be silently overridden. *)
@@ -345,12 +365,12 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
         0
       end
       else begin
-        match
-          match faultsim with
-          | None -> Ok Dart_util.Faultsim.off
-          | Some spec -> Dart_util.Faultsim.of_spec ~seed:faultsim_seed spec
-        with
-        | Error msg -> usage_error (Printf.sprintf "--faultsim: %s" msg)
+        match fault_plan ~flag:"--faultsim" ~seed:faultsim_seed faultsim with
+        | Error msg -> usage_error msg
+        | Ok fs when jobs = 1 && Dart_util.Faultsim.arms fs Dart_util.Faultsim.Worker_crash ->
+          (* --jobs 1 runs the search in the caller, with no worker
+             slot to crash: the rule would silently never fire. *)
+          usage_error "--faultsim worker_crash requires --jobs > 1 (or 0)"
         | Ok fs ->
           with_trace_sink trace @@ fun sink ->
           install_signal_handlers ();
@@ -788,12 +808,12 @@ let chaos_arg =
     & opt (some string) None
     & info [ "chaos" ] ~docv:"SPEC"
         ~doc:
-          "Chaos soak: inject faults at the given rates, as comma-separated \
-           $(i,point=rate) pairs with rate in (0,1] and points solver_deadline, \
-           worker_crash, machine_step_limit and io_error — e.g. \
-           $(b,worker_crash=0.05,io_error=0.01). Draws are deterministic from \
-           $(b,--chaos-seed). The campaign must degrade, never fail: faulted targets are \
-           retried then quarantined, and the run asserts no target is lost.")
+          ("Chaos soak: inject faults by "
+          ^ fault_spec_doc ~seed_flag:"--chaos-seed"
+          ^ ", e.g. $(b,worker_crash=0.05,io_error=0.01). A worker_crash probe fires at \
+             each slice start, keyed by target index. The campaign must degrade, never \
+             fail: faulted targets are retried then quarantined, and the run asserts no \
+             target is lost."))
 
 let chaos_seed_arg =
   Arg.(
@@ -810,18 +830,16 @@ let no_breaker_campaign_arg =
            the solver even at a site that keeps overrunning its deadline).")
 
 let validate_campaign ~depth ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_runs
-    ~time_budget ~solver_timeout ~list_only ~checkpoint ~resume ~resume_salvage ~chaos
-    ~json ~lcov ~html ~trace ~status =
+    ~time_budget ~solver_timeout ~list_only ~checkpoint ~resume ~resume_salvage ~json
+    ~lcov ~html ~trace ~status =
   let table =
     [ (depth < 1, "--depth must be positive");
-      (jobs < 0, "--jobs must be >= 0");
+      (jobs < 0 || jobs > Dart.Parallel.max_jobs, jobs_range_msg);
       (per_function_runs <= 0, "--per-function-runs must be positive");
       (retire_after <= 0, "--retire-after must be positive");
       (retry_limit <= 0, "--retry-limit must be positive");
       (max_runs <= 0, "--max-runs must be positive");
       (resume_salvage && resume = None, "--resume-salvage requires --resume");
-      ( (match chaos with Some s -> String.trim s = "" | None -> false),
-        "--chaos needs a non-empty point=rate list" );
       ( (match time_budget with Some s -> s <= 0.0 | None -> false),
         "--time-budget must be positive" );
       ( (match solver_timeout with Some ms -> ms <= 0.0 | None -> false),
@@ -854,8 +872,8 @@ let run_campaign file jobs seed depth max_runs per_function_runs retire_after re
     let src = Dart_util.Persist.read_file file in
     match
       validate_campaign ~depth ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_runs
-        ~time_budget ~solver_timeout ~list_only ~checkpoint ~resume ~resume_salvage ~chaos
-        ~json ~lcov ~html ~trace ~status
+        ~time_budget ~solver_timeout ~list_only ~checkpoint ~resume ~resume_salvage ~json
+        ~lcov ~html ~trace ~status
     with
     | Some msg -> usage_error msg
     | None ->
@@ -870,12 +888,8 @@ let run_campaign file jobs seed depth max_runs per_function_runs retire_after re
         if targets = [] then usage_error "no testable targets discovered" else 0
       end
       else begin
-        match
-          match chaos with
-          | None -> Ok Dart_util.Faultsim.off
-          | Some spec -> Dart_util.Faultsim.chaos_of_spec ~seed:chaos_seed spec
-        with
-        | Error msg -> usage_error (Printf.sprintf "--chaos: %s" msg)
+        match fault_plan ~flag:"--chaos" ~seed:chaos_seed chaos with
+        | Error msg -> usage_error msg
         | Ok fault ->
         with_trace_sink trace @@ fun sink ->
         install_signal_handlers ();

@@ -311,8 +311,7 @@ let verdict_tag = function
 
 let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpoint
     ?resume ?(salvage = false) ?file ?(progress = fun _ -> ()) text =
-  if jobs < 0 then invalid_arg "Campaign.run: jobs must be >= 0";
-  let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
+  let jobs = Parallel.workers jobs in
   let ast = Minic.Parser.parse_program ?file text in
   let targets, skipped = discover ast in
   if options.Driver.Options.search.Driver.Options.depth < 1 then
@@ -429,10 +428,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
                target index: models a slice's worker dying anywhere in
                the slice (the parallel layer injects the same fault
                mid-search inside single-shot workers). *)
-            if
-              Dart_util.Faultsim.is_on fault
-              && Dart_util.Faultsim.fire ~key:st.st_index fault Dart_util.Faultsim.Worker_crash
-            then Dart_util.Faultsim.inject_crash Dart_util.Faultsim.Worker_crash;
+            Dart_util.Faultsim.crash_if ~key:st.st_index fault Dart_util.Faultsim.Worker_crash;
             match
               Engine.run ?resume:st.st_snapshot
                 ~on_checkpoint:(fun sn -> latest := Some sn)
@@ -617,22 +613,14 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
               | [] -> ""
               | l -> Printf.sprintf ", %d backing off" (List.length l)));
         write_status ~final:false ();
-        let outcomes = Array.make (Array.length tasks) None in
-        let next = Atomic.make 0 in
-        let worker () =
-          let continue = ref true in
-          while !continue do
-            let i = Atomic.fetch_and_add next 1 in
-            if i >= Array.length tasks || stop () then continue := false
-            else outcomes.(i) <- Some (run_slice tasks.(i))
-          done
+        (* A slice keeps what it earned when it faults: [run_slice] turns
+           every exception into an outcome itself, so the pool never
+           returns [Error]. Slices not started before a stop stay
+           unsettled. *)
+        let outcomes =
+          Parallel.map ~jobs
+            (Array.map (fun st () -> if stop () then None else Some (st, run_slice st)) tasks)
         in
-        (if jobs = 1 || Array.length tasks = 1 then worker ()
-         else begin
-           let n = min jobs (Array.length tasks) in
-           let domains = Array.init n (fun _ -> Domain.spawn worker) in
-           Array.iter Domain.join domains
-         end);
         (* Settle the round in declaration order, so crash attribution,
            progress lines and the replayed trace are deterministic: the
            event order per settled slice is Target_scheduled, the
@@ -801,10 +789,10 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
                 !retired
             end
         in
-        let indexed = Array.to_list (Array.mapi (fun i st -> (st, outcomes.(i))) tasks) in
-        List.iter
-          (fun (st, outcome) -> Option.iter (settle st) outcome)
-          (List.stable_sort (fun ((a : tstate), _) (b, _) -> compare a.st_index b.st_index) indexed);
+        Array.to_list outcomes
+        |> List.filter_map (function Ok o -> o | Error e -> raise e)
+        |> List.sort (fun ((a : tstate), _) (b, _) -> compare a.st_index b.st_index)
+        |> List.iter (fun (st, outcome) -> settle st outcome);
         if tracing then begin
           Telemetry.emit msink
             (Telemetry.Round_end

@@ -155,7 +155,7 @@ val run :
     {!Status} snapshot is atomically rewritten at every round boundary
     and at exit. Slices themselves never touch the main sink or the
     status file.
-    @raise Invalid_argument if [jobs < 0]. *)
+    @raise Invalid_argument if [jobs] is outside [0..Parallel.max_jobs]. *)
 
 val aggregate_sites : report -> (string * int * bool) list
 (** Union of every finished target's coverage, sorted — feed it to

@@ -471,10 +471,7 @@ let search ?resume ?on_checkpoint ?(checkpoint_every = 256) ~ctx ~(options : opt
           (* Injected machine fault: rewrite the finished run's outcome,
              exercising the classification below without a genuinely
              non-terminating workload. *)
-          if
-            Dart_util.Faultsim.is_on fs
-            && Dart_util.Faultsim.fire fs Dart_util.Faultsim.Machine_step_limit
-          then
+          if Dart_util.Faultsim.fire fs Dart_util.Faultsim.Machine_step_limit then
             { data with
               Concolic.outcome =
                 Concolic.Run_fault

@@ -40,10 +40,46 @@ type report = {
   crashes : crash list;
 }
 
-let effective_jobs jobs =
-  if jobs < 0 then invalid_arg "Parallel.run: jobs < 0"
-  else if jobs = 0 then Domain.recommended_domain_count ()
+(* ---- the domain pool ---------------------------------------------------------- *)
+
+(* OCaml 5.1's runtime admits 128 domains (Max_domains); the caller is
+   one of them, so a pool of 128 workers spawns 127. *)
+let max_jobs = 128
+
+let workers jobs =
+  if jobs < 0 || jobs > max_jobs then
+    invalid_arg (Printf.sprintf "Parallel: jobs must be in 0..%d" max_jobs)
+  else if jobs = 0 then min max_jobs (Domain.recommended_domain_count ())
   else jobs
+
+let map ~jobs tasks =
+  let jobs = workers jobs in
+  let n = Array.length tasks in
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      results.(i) <- Some (match tasks.(i) () with v -> Ok v | exception e -> Error e);
+      work ()
+    end
+  in
+  (* The caller is a worker too: [jobs = 1] spawns nothing. A failed
+     spawn still joins the domains already started (they drain the
+     counter) before it re-raises. *)
+  let spawned = ref [] in
+  (try
+     for _ = 2 to min jobs n do
+       spawned := Domain.spawn work :: !spawned
+     done
+   with e ->
+     List.iter Domain.join !spawned;
+     raise e);
+  work ();
+  List.iter Domain.join !spawned;
+  Array.map Option.get results
+
+(* ---- the parallel search ------------------------------------------------------- *)
 
 (* Worker 0 inherits the base seed (so a one-worker run replays the
    sequential search exactly); the rest get a splitmix-derived stream
@@ -153,7 +189,11 @@ let empty_report () =
 
 let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
   let t = options in
-  let n = effective_jobs t.jobs in
+  let n = workers t.jobs in
+  (* A lone worker traces straight into the caller's sink and its report
+     is the result, with no merge pass: report and trace (field order of
+     coverage_sites included) are identical to [Driver.run]. *)
+  let lone = n = 1 in
   (* Compile once before spawning: workers on other domains then find
      the shared read-only compiled program in the cache instead of
      racing to build their own. *)
@@ -164,34 +204,25 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
   let stop_on_first_bug = t.base.O.budget.O.stop_on_first_bug in
   let base_sink = t.base.O.telemetry.Telemetry.sink in
   let tracing = Telemetry.enabled base_sink in
+  let emit ev = if tracing then Telemetry.emit base_sink ev in
   let fs = t.base.O.fault in
   let deadline = Driver.deadline_of_options t.base in
   let cancel = Atomic.make false in
-  let should_stop =
-    if stop_on_first_bug && n > 1 then fun () -> Atomic.get cancel
-    else fun () -> false
-  in
   (* Cross-worker sharing: one solve cache answers every worker's
      queries, and the run budget is a single CAS-claimed pool — a
      worker that drains its subtree early leaves the rest of the budget
      to the others. A single worker gets the whole budget as a fixed
      share, which keeps it byte-identical to [Driver.run]. *)
   let cache = Solver.Cache.create () in
-  let pool = if n > 1 then Some (Atomic.make t.base.O.budget.O.max_runs) else None in
-  (* A worker body never lets an exception reach [Domain.join]: it
-     returns [Error reason] instead, so the supervisor always joins
-     every domain, replays the surviving rings and flushes the sink. *)
+  let pool = if lone then None else Some (Atomic.make t.base.O.budget.O.max_runs) in
   let worker ~slot ~seed sink () =
     let strategy = worker_strategy t slot in
-    let should_stop =
+    let should_stop () =
       (* Crash injection rides the run-boundary poll: the injected
          exception surfaces mid-search exactly where a real defect in
          the search loop would. *)
-      if Dart_util.Faultsim.is_on fs then (fun () ->
-        if Dart_util.Faultsim.fire ~key:slot fs Dart_util.Faultsim.Worker_crash then
-          Dart_util.Faultsim.inject_crash Dart_util.Faultsim.Worker_crash
-        else should_stop ())
-      else should_stop
+      Dart_util.Faultsim.crash_if ~key:slot fs Dart_util.Faultsim.Worker_crash;
+      Atomic.get cancel
     in
     let ctx =
       Driver.make_ctx ~should_stop ?deadline ?pool
@@ -208,135 +239,74 @@ let run ?(options = options O.default) (prog : Ram.Instr.program) : report =
             (* Only a lone worker may own the status file: concurrent
                domains each writing tmp+rename would race on it. The
                CLI already rejects --status with --jobs > 1. *)
-            status_path =
-              (if n = 1 then t.base.O.telemetry.Telemetry.status_path else None) } }
+            status_path = (if lone then t.base.O.telemetry.Telemetry.status_path else None) } }
     in
-    match Driver.search ~ctx ~options prog with
-    | r ->
-      (* First finder flags the others; they drain at their next run
-         boundary (the [should_stop] poll in [Driver.search]). *)
-      if stop_on_first_bug && r.Driver.bugs <> [] then Atomic.set cancel true;
-      Ok { w_id = slot; w_seed = seed; w_strategy = strategy; w_report = r }
-    | exception e -> Error (Printexc.to_string e)
+    let r = Driver.search ~ctx ~options prog in
+    (* First finder flags the others; they drain at their next run
+       boundary (the [should_stop] poll in [Driver.search]). *)
+    if stop_on_first_bug && r.Driver.bugs <> [] then Atomic.set cancel true;
+    { w_id = slot; w_seed = seed; w_strategy = strategy; w_report = r }
   in
-  if n = 1 then begin
-    (* Single worker: no merge pass and the main sink is handed straight
-       to the search, so report and trace — field order of
-       coverage_sites included — are identical to [Driver.run]. *)
-    match worker ~slot:0 ~seed:seeds.(0) base_sink () with
-    | Ok w -> { jobs = 1; merged = w.w_report; workers = [ w ]; crashes = [] }
-    | Error reason ->
-      let crash1 =
-        { c_worker = 0; c_seed = seeds.(0); c_reason = reason; c_respawned = true }
-      in
-      if tracing then begin
-        Telemetry.emit base_sink
-          (Telemetry.Worker_crash { worker = 0; reason; respawned = true });
-        Telemetry.emit base_sink (Telemetry.Worker_spawn { worker = 0; seed = seeds.(1) })
-      end;
-      (match worker ~slot:0 ~seed:seeds.(1) base_sink () with
-       | Ok w -> { jobs = 1; merged = w.w_report; workers = [ w ]; crashes = [ crash1 ] }
-       | Error reason2 ->
-         if tracing then begin
-           Telemetry.emit base_sink
-             (Telemetry.Worker_crash { worker = 0; reason = reason2; respawned = false });
-           Telemetry.flush base_sink
-         end;
-         { jobs = 1;
-           merged = empty_report ();
-           workers = [];
-           crashes =
-             [ crash1;
-               { c_worker = 0; c_seed = seeds.(1); c_reason = reason2; c_respawned = false }
-             ] })
-  end
-  else begin
-    (* Each worker traces into a private ring: domains never contend on
-       the main sink, and replaying the rings in worker order at join
-       makes the merged trace deterministic. *)
-    let ring () =
-      if tracing then Telemetry.ring ~capacity:t.base.O.telemetry.Telemetry.worker_buffer
-      else Telemetry.null
+  (* Each of several workers traces into a private ring: domains never
+     contend on the main sink, and replaying the rings in slot order
+     after the pass makes the merged trace deterministic. *)
+  let sink () =
+    if lone then base_sink
+    else if tracing then Telemetry.ring ~capacity:t.base.O.telemetry.Telemetry.worker_buffer
+    else Telemetry.null
+  in
+  let survivors = ref [] in
+  let crashes = ref [] in
+  (* One pass over [(slot, seed)] attempts on the pool, settled in slot
+     order. A worker's report dies with it; a crashed primary is
+     respawned once, with its respawn seed, by the next pass. Returns
+     the respawn attempts. *)
+  let pass ~respawns attempts =
+    let attempts = List.map (fun (slot, seed) -> (slot, seed, sink ())) attempts in
+    let settle (slot, seed, sink) = function
+      | Ok w ->
+        if tracing && not lone then begin
+          Telemetry.replay sink ~into:base_sink;
+          emit (Telemetry.Worker_drain { worker = slot; runs = w.w_report.Driver.runs })
+        end;
+        survivors := w :: !survivors;
+        []
+      | Error e ->
+        let reason = Printexc.to_string e in
+        let respawned = not respawns in
+        crashes :=
+          { c_worker = slot; c_seed = seed; c_reason = reason; c_respawned = respawned }
+          :: !crashes;
+        emit (Telemetry.Worker_crash { worker = slot; reason; respawned });
+        if not respawned then []
+        else begin
+          emit (Telemetry.Worker_spawn { worker = slot; seed = seeds.(n + slot) });
+          [ (slot, seeds.(n + slot)) ]
+        end
     in
-    let wsinks = Array.init n (fun _ -> ring ()) in
-    if tracing then
-      Array.iteri
-        (fun i seed ->
-          if i < n then
-            Telemetry.emit base_sink (Telemetry.Worker_spawn { worker = i; seed }))
-        seeds;
-    let domains =
-      Array.init n (fun i -> Domain.spawn (worker ~slot:i ~seed:seeds.(i) wsinks.(i)))
-    in
-    let primary = Array.map Domain.join domains in
-    (* Supervision pass: every crashed slot is respawned exactly once,
-       with a fresh derived seed and a fresh ring; it draws its runs
-       from what is left of the shared budget pool. *)
-    let rsinks = Array.make n Telemetry.null in
-    let respawns =
-      Array.init n (fun i ->
-          match primary.(i) with
-          | Ok _ -> None
-          | Error _ ->
-            rsinks.(i) <- ring ();
-            Some (Domain.spawn (worker ~slot:i ~seed:seeds.(n + i) rsinks.(i))))
-    in
-    let respawns = Array.map (Option.map Domain.join) respawns in
-    let t0 = Telemetry.now () in
-    let workers = ref [] in
-    let crashes = ref [] in
-    let drain i (w : worker_report) sink =
-      if tracing then begin
-        Telemetry.replay sink ~into:base_sink;
-        Telemetry.emit base_sink
-          (Telemetry.Worker_drain { worker = i; runs = w.w_report.Driver.runs })
-      end;
-      workers := w :: !workers
-    in
-    Array.iteri
-      (fun i result ->
-        match result with
-        | Ok w -> drain i w wsinks.(i)
-        | Error reason ->
-          crashes :=
-            { c_worker = i; c_seed = seeds.(i); c_reason = reason; c_respawned = true }
-            :: !crashes;
-          if tracing then begin
-            Telemetry.emit base_sink
-              (Telemetry.Worker_crash { worker = i; reason; respawned = true });
-            Telemetry.emit base_sink
-              (Telemetry.Worker_spawn { worker = i; seed = seeds.(n + i) })
-          end;
-          (match respawns.(i) with
-           | Some (Ok w) -> drain i w rsinks.(i)
-           | Some (Error reason2) ->
-             crashes :=
-               { c_worker = i;
-                 c_seed = seeds.(n + i);
-                 c_reason = reason2;
-                 c_respawned = false }
-               :: !crashes;
-             if tracing then
-               Telemetry.emit base_sink
-                 (Telemetry.Worker_crash { worker = i; reason = reason2; respawned = false })
-           | None -> assert false))
-      primary;
-    let workers = List.rev !workers in
-    let crashes = List.rev !crashes in
-    let merged =
-      match List.map (fun w -> w.w_report) workers with
-      | [] -> empty_report ()
-      | reports -> merge reports
-    in
-    let merge_ns = Int64.sub (Telemetry.now ()) t0 in
-    Telemetry.add_phase merged.Driver.metrics Telemetry.Merge merge_ns;
-    if tracing then begin
-      Telemetry.emit base_sink
-        (Telemetry.Phase_total { phase = Telemetry.Merge; dur_ns = merge_ns });
-      Telemetry.flush base_sink
-    end;
-    { jobs = n; merged; workers; crashes }
-  end
+    let tasks = List.map (fun (slot, seed, sink) -> worker ~slot ~seed sink) attempts in
+    List.concat (List.map2 settle attempts (Array.to_list (map ~jobs:n (Array.of_list tasks))))
+  in
+  let primaries = List.init n (fun i -> (i, seeds.(i))) in
+  if not lone then
+    List.iter (fun (worker, seed) -> emit (Telemetry.Worker_spawn { worker; seed })) primaries;
+  ignore (pass ~respawns:true (pass ~respawns:false primaries));
+  let workers = List.sort (fun a b -> compare a.w_id b.w_id) !survivors in
+  let crashes = List.stable_sort (fun a b -> compare a.c_worker b.c_worker) (List.rev !crashes) in
+  let merged =
+    match List.map (fun w -> w.w_report) workers with
+    | [ r ] when lone -> r
+    | _ when lone -> empty_report ()
+    | reports ->
+      let t0 = Telemetry.now () in
+      let merged = if reports = [] then empty_report () else merge reports in
+      let merge_ns = Int64.sub (Telemetry.now ()) t0 in
+      Telemetry.add_phase merged.Driver.metrics Telemetry.Merge merge_ns;
+      emit (Telemetry.Phase_total { phase = Telemetry.Merge; dur_ns = merge_ns });
+      merged
+  in
+  if tracing then Telemetry.flush base_sink;
+  { jobs = n; merged; workers; crashes }
 
 let report_to_string r =
   let buf = Buffer.create 256 in

@@ -23,6 +23,29 @@
       always a real, replayable witness and single-defect workloads
       yield the same verdict and deduped bug set as [jobs = 1]. *)
 
+(** {1 The domain pool} *)
+
+val max_jobs : int
+(** 128: the OCaml runtime's domain limit, the calling domain included. *)
+
+val workers : int -> int
+(** [workers jobs] is the worker count a pool of [jobs] runs with:
+    [jobs] itself, or [Domain.recommended_domain_count ()] (at most
+    {!max_jobs}) for [jobs = 0].
+    @raise Invalid_argument if [jobs] is outside [0..max_jobs]. *)
+
+val map : jobs:int -> (unit -> 'a) array -> ('a, exn) result array
+(** [map ~jobs tasks] runs every task once and returns the results in
+    task order. Workers take tasks from one atomic counter, and the
+    calling domain is one of them: [jobs = 1] spawns no domain, and
+    [jobs = k] spawns at most [min k (length tasks) - 1]. A task that
+    raises yields [Error] with its exception, so no exception escapes
+    a domain and every spawned domain is joined before [map] returns.
+    This is the only place the library spawns domains.
+    @raise Invalid_argument as {!workers}, before spawning anything. *)
+
+(** {1 The parallel search} *)
+
 type options = {
   base : Driver.options;
       (** [base.budget.max_runs] is the {e total} budget, pooled
@@ -33,7 +56,7 @@ type options = {
           [base.telemetry.worker_buffer] events, replayed into the main
           sink in worker order at join (bracketed by [Worker_spawn] /
           [Worker_drain] events). *)
-  jobs : int; (* 0 = [Domain.recommended_domain_count ()] *)
+  jobs : int; (* 0 = [Domain.recommended_domain_count ()]; see {!workers} *)
   portfolio : Strategy.t list;
       (** Cycled across workers ([worker i] gets [i mod length]);
           empty = every worker uses [base.search.strategy]. *)
@@ -90,16 +113,18 @@ val run : ?options:options -> Ram.Instr.program -> report
     their next run boundary. [base.budget.time_budget_ns] is turned
     into one absolute deadline shared by every worker.
 
-    Crash supervision: a worker whose search raises never takes the
-    join down — the failure is recorded as a {!crash} (and a
-    [Telemetry.Worker_crash] event), every domain is still joined, the
+    Every [jobs] takes one path: a primary pass of the workers on the
+    {!map} pool, then one respawn pass over the crashed slots. A worker
+    whose search raises never takes the run down — the failure is
+    recorded as a {!crash} (and a [Telemetry.Worker_crash] event), the
     surviving workers' rings are replayed and the sink flushed. Each
     crashed slot is respawned exactly once with a deterministically
     derived fresh seed, drawing on the same budget pool; if the respawn
     crashes too, the slot is abandoned and the merge proceeds over the
     survivors (an all-crashed run merges to an empty
-    [Budget_exhausted] report).
-    @raise Invalid_argument if [jobs < 0]. *)
+    [Budget_exhausted] report). A lone worker differs only in its sink
+    (the caller's own, not a ring) and in skipping the merge.
+    @raise Invalid_argument as {!workers}. *)
 
 val report_to_string : report -> string
 (** The merged report followed by a one-line per-worker summary. *)

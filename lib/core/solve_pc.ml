@@ -87,10 +87,8 @@ let solve ?cache ?incr ?breaker ?(slicing = true) ?deadline_ns
      the same degradation path as a genuine timeout, so the test
      exercises exactly the production behaviour. *)
   let solver_deadline () =
-    if
-      Dart_util.Faultsim.is_on faultsim
-      && Dart_util.Faultsim.fire faultsim Dart_util.Faultsim.Solver_deadline
-    then Some (fun () -> true)
+    if Dart_util.Faultsim.fire faultsim Dart_util.Faultsim.Solver_deadline then
+      Some (fun () -> true)
     else
       match deadline_ns with
       | None -> None

@@ -481,9 +481,9 @@ let test_quarantine () =
     O.make ~seed:7 ~max_runs:400 ~per_function_runs:100 ~retry_limit:3
       ~faultsim:
         (Faultsim.make
-           [ (Faultsim.Worker_crash, Some 0, 1);
-             (Faultsim.Worker_crash, Some 0, 2);
-             (Faultsim.Worker_crash, Some 0, 3) ])
+           [ (Faultsim.Worker_crash, Some 0, Nth 1);
+             (Faultsim.Worker_crash, Some 0, Nth 2);
+             (Faultsim.Worker_crash, Some 0, Nth 3) ])
       ()
   in
   let r = run_campaign ~options lib_src in
@@ -522,7 +522,7 @@ let test_fault_retry_recovers () =
   let clean = run_campaign ~options:(opts ()) lib_src in
   let options =
     O.make ~seed:7 ~max_runs:400 ~per_function_runs:100 ~retry_limit:3
-      ~faultsim:(Faultsim.make [ (Faultsim.Worker_crash, Some 0, 1) ])
+      ~faultsim:(Faultsim.make [ (Faultsim.Worker_crash, Some 0, Nth 1) ])
       ()
   in
   let r = run_campaign ~options lib_src in
@@ -552,7 +552,7 @@ let test_chaos_oracle () =
   in
   let clean = run () in
   let chaotic =
-    run ~faultsim:(Faultsim.chaos ~seed:11 [ (Faultsim.Worker_crash, 2500) ])
+    run ~faultsim:(Faultsim.make ~seed:11 [ (Faultsim.Worker_crash, None, Rate 2500) ])
       ~retry_limit:2 ()
   in
   Alcotest.(check bool) "clean oracle holds" true (Campaign.no_lost_targets clean);
@@ -594,7 +594,7 @@ let test_io_error_degrades_to_warning () =
       let warnings = ref [] in
       let options =
         O.make ~seed:7 ~max_runs:400 ~per_function_runs:100
-          ~faultsim:(Faultsim.chaos ~seed:1 [ (Faultsim.Io_error, 10000) ])
+          ~faultsim:(Faultsim.make ~seed:1 [ (Faultsim.Io_error, None, Rate 10000) ])
           ~telemetry:{ Dart.Telemetry.default_config with
                        Dart.Telemetry.status_path = Some status_path }
           ()

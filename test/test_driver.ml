@@ -218,6 +218,27 @@ let test_dartc_depth_zero () =
       ("dartc campaign", [ "campaign"; "SRC"; "--depth"; "0" ]);
       ("dartc cover", [ "cover"; "SRC"; "-t"; "f"; "--depth"; "0" ]) ]
 
+(* --jobs is bounded by the runtime's 128 domains, and a worker crash
+   needs a worker slot: both are usage errors (exit 2), rejected before
+   any domain starts. *)
+let test_dartc_jobs_rejections () =
+  List.iter
+    (fun (what, args, expect) ->
+      let status, msg, _ = run_dartc "void f(int x) { if (x == 3) abort(); }\n" args in
+      Alcotest.(check bool) (what ^ ": exit 2") true (status = Unix.WEXITED 2);
+      Alcotest.(check bool) (what ^ ": names the problem") true
+        (Str_contains.contains msg expect))
+    [ ("dartc --jobs 129", [ "SRC"; "-t"; "f"; "--jobs"; "129" ], "--jobs must be in 0..128");
+      ( "dartc campaign --jobs 129",
+        [ "campaign"; "SRC"; "--jobs"; "129" ],
+        "--jobs must be in 0..128" );
+      ( "dartc --jobs 1 --faultsim worker_crash@0",
+        [ "SRC"; "-t"; "f"; "--jobs"; "1"; "--faultsim"; "worker_crash@0" ],
+        "--faultsim worker_crash requires --jobs > 1" );
+      ( "dartc --faultsim worker_crash=0.5 (default --jobs 1)",
+        [ "SRC"; "-t"; "f"; "--faultsim"; "worker_crash=0.5" ],
+        "--faultsim worker_crash requires --jobs > 1" ) ]
+
 (* An integer literal beyond the native range is a lexical error at
    the literal, reported as [file:line:col] with exit 2, in both the
    single-target and the campaign command. *)
@@ -429,6 +450,8 @@ let suite =
     Alcotest.test_case "depth semantics" `Quick test_depth_semantics;
     Alcotest.test_case "depth 0 rejected" `Quick test_depth_zero_rejected;
     Alcotest.test_case "dartc rejects depth 0" `Quick test_dartc_depth_zero;
+    Alcotest.test_case "dartc rejects --jobs 129 and a jobs-1 worker crash" `Quick
+      test_dartc_jobs_rejections;
     Alcotest.test_case "dartc rejects out-of-range literal" `Quick
       test_dartc_literal_out_of_range;
     Alcotest.test_case "collect all bugs" `Quick test_stop_on_first_bug_false;

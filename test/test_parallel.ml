@@ -108,6 +108,67 @@ let test_merge_verdict () =
   Alcotest.check_raises "empty merge rejected" (Invalid_argument "Parallel.merge: empty report list")
     (fun () -> ignore (Dart.Parallel.merge []))
 
+(* ---- the domain pool -------------------------------------------------------- *)
+
+let test_pool_order_and_errors () =
+  let results =
+    Dart.Parallel.map ~jobs:3
+      (Array.init 20 (fun i () -> if i = 7 then failwith "task 7" else i * i))
+  in
+  Alcotest.(check int) "one result per task" 20 (Array.length results);
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Ok v -> Alcotest.(check int) (Printf.sprintf "task %d in order" i) (i * i) v
+      | Error (Failure msg) when i = 7 ->
+        Alcotest.(check string) "the raising task's exception" "task 7" msg
+      | Error e -> Alcotest.failf "task %d: unexpected %s" i (Printexc.to_string e))
+    results;
+  Alcotest.(check int) "no tasks, no results" 0
+    (Array.length (Dart.Parallel.map ~jobs:2 ([||] : (unit -> int) array)))
+
+(* The domains that ran [n] tasks on a pool of [jobs]. Each task
+   sleeps briefly, so every domain the pool starts gets to take tasks
+   before the caller drains the counter. *)
+let pool_domains ~jobs n =
+  let lock = Mutex.create () in
+  let seen = ref [] in
+  let task () =
+    Unix.sleepf 0.002;
+    Mutex.lock lock;
+    seen := (Domain.self () :> int) :: !seen;
+    Mutex.unlock lock
+  in
+  ignore (Dart.Parallel.map ~jobs (Array.make n task));
+  List.sort_uniq compare !seen
+
+let test_pool_domains () =
+  Alcotest.(check (list int)) "jobs=1: every task on the caller"
+    [ (Domain.self () :> int) ]
+    (pool_domains ~jobs:1 12);
+  List.iter
+    (fun (jobs, n) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d, %d tasks: at most min jobs tasks domains" jobs n)
+        true
+        (List.length (pool_domains ~jobs n) <= min jobs n))
+    [ (2, 12); (3, 2); (3, 9) ]
+
+let test_pool_bounds () =
+  let ran = ref false in
+  List.iter
+    (fun jobs ->
+      Alcotest.check_raises
+        (Printf.sprintf "jobs=%d rejected" jobs)
+        (Invalid_argument "Parallel: jobs must be in 0..128")
+        (fun () -> ignore (Dart.Parallel.map ~jobs [| (fun () -> ran := true) |])))
+    [ -1; Dart.Parallel.max_jobs + 1 ];
+  Alcotest.(check bool) "rejected before running anything" false !ran;
+  Alcotest.(check int) "the runtime's domain limit" 128 Dart.Parallel.max_jobs;
+  let n = Dart.Parallel.workers 0 in
+  Alcotest.(check bool) "jobs=0 resolves to one per core" true
+    (n >= 1 && n <= Dart.Parallel.max_jobs)
+
 (* ---- worker seeds ---------------------------------------------------------- *)
 
 let test_worker_seeds () =
@@ -280,6 +341,9 @@ let suite =
     Alcotest.test_case "merge: coverage union" `Quick test_merge_coverage_union;
     Alcotest.test_case "merge: counter sums" `Quick test_merge_counter_sums;
     Alcotest.test_case "merge: verdict rules" `Quick test_merge_verdict;
+    Alcotest.test_case "pool: task order and errors" `Quick test_pool_order_and_errors;
+    Alcotest.test_case "pool: domains per jobs" `Quick test_pool_domains;
+    Alcotest.test_case "pool: jobs bounds" `Quick test_pool_bounds;
     Alcotest.test_case "worker seeds" `Quick test_worker_seeds;
     Alcotest.test_case "jobs=1 = sequential" `Quick test_jobs1_equals_sequential;
     Alcotest.test_case "jobs=4 same bug set" `Quick test_jobs4_same_bug_set;

@@ -27,6 +27,17 @@ let abort_src = ("void f(int x) { if (x == 5) abort(); }", "f")
 
 (* ---- faultsim -------------------------------------------------------------- *)
 
+(* The 1-based indices of the probes, out of [n], at which [probe]
+   fired; probes run in index order. *)
+let hit_indices n probe =
+  let hits = ref [] in
+  for i = 1 to n do
+    if probe i then hits := i :: !hits
+  done;
+  List.rev !hits
+
+let fire_seq fs point n = List.init n (fun _ -> Faultsim.fire fs point)
+
 let test_faultsim_off () =
   Alcotest.(check bool) "off is off" false (Faultsim.is_on Faultsim.off);
   for _ = 1 to 3 do
@@ -35,14 +46,14 @@ let test_faultsim_off () =
   done
 
 let test_faultsim_one_shot () =
-  let fs = Faultsim.make [ (Faultsim.Solver_deadline, None, 3) ] in
+  let fs = Faultsim.make [ (Faultsim.Solver_deadline, None, Nth 3) ] in
   Alcotest.(check bool) "armed plan is on" true (Faultsim.is_on fs);
   let fired = List.init 5 (fun _ -> Faultsim.fire fs Faultsim.Solver_deadline) in
   Alcotest.(check (list bool)) "fires exactly on the 3rd occurrence, once"
     [ false; false; true; false; false ] fired
 
 let test_faultsim_key_narrowing () =
-  let fs = Faultsim.make [ (Faultsim.Worker_crash, Some 2, 1) ] in
+  let fs = Faultsim.make [ (Faultsim.Worker_crash, Some 2, Nth 1) ] in
   Alcotest.(check bool) "other key never fires" false
     (Faultsim.fire ~key:1 fs Faultsim.Worker_crash);
   Alcotest.(check bool) "other point never fires" false
@@ -78,19 +89,40 @@ let test_faultsim_spec () =
       !n
   in
   Alcotest.(check int) "seeded draw is deterministic" (nth_fired 11) (nth_fired 11);
-  Alcotest.(check bool) "seeded draw is in 1..8" true (nth_fired 11 < 8)
+  Alcotest.(check bool) "seeded draw is in 1..8" true (nth_fired 11 < 8);
+  (* Pinned one-shot schedules: the probe indices that fire over 200
+     probes, keyed probes cycling through keys [i mod 4]. A change to
+     the parser or the [:?] draw stream shows up here as a moved
+     injection. *)
+  List.iter
+    (fun (spec, seed, point, keyed, want) ->
+      match Faultsim.of_spec ~seed spec with
+      | Error e -> Alcotest.failf "%s rejected: %s" spec e
+      | Ok fs ->
+        let key i = if keyed then Some (i mod 4) else None in
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s at seed %d" spec seed)
+          want
+          (hit_indices 200 (fun i -> Faultsim.fire ?key:(key i) fs point)))
+    [ ("solver_deadline:3", 0, Faultsim.Solver_deadline, false, [ 3 ]);
+      ("worker_crash@1:2", 0, Faultsim.Worker_crash, true, [ 5 ]);
+      ("worker_crash@1:?", 1, Faultsim.Worker_crash, true, [ 1 ]);
+      ("worker_crash@1:?", 2, Faultsim.Worker_crash, true, [ 13 ]);
+      ("machine_step_limit:?", 0, Faultsim.Machine_step_limit, false, [ 4 ]);
+      ("machine_step_limit:?", 2, Faultsim.Machine_step_limit, false, [ 4 ]);
+      ("machine_step_limit:?", 7, Faultsim.Machine_step_limit, false, [ 6 ]);
+      ("machine_step_limit:?", 11, Faultsim.Machine_step_limit, false, [ 8 ]) ]
 
 (* ---- chaos schedules -------------------------------------------------------- *)
 
-let fire_seq fs point n = List.init n (fun _ -> Faultsim.fire fs point)
 
 let test_chaos_determinism () =
-  let plan () = Faultsim.chaos ~seed:5 [ (Faultsim.Worker_crash, 2000) ] in
+  let plan () = Faultsim.make ~seed:5 [ (Faultsim.Worker_crash, None, Rate 2000) ] in
   let a = fire_seq (plan ()) Faultsim.Worker_crash 200 in
   Alcotest.(check (list bool)) "same seed, same schedule" a
     (fire_seq (plan ()) Faultsim.Worker_crash 200);
   Alcotest.(check bool) "different seed, different schedule" true
-    (a <> fire_seq (Faultsim.chaos ~seed:6 [ (Faultsim.Worker_crash, 2000) ])
+    (a <> fire_seq (Faultsim.make ~seed:6 [ (Faultsim.Worker_crash, None, Rate 2000) ])
            Faultsim.Worker_crash 200);
   (* 20% of 200 draws: enough hits to be a schedule, not a constant. *)
   let hits = List.length (List.filter Fun.id a) in
@@ -101,15 +133,88 @@ let test_chaos_determinism () =
      added next to it. *)
   let b =
     fire_seq
-      (Faultsim.chaos ~seed:5 [ (Faultsim.Worker_crash, 2000); (Faultsim.Io_error, 9000) ])
+      (Faultsim.make ~seed:5
+         [ (Faultsim.Worker_crash, None, Rate 2000); (Faultsim.Io_error, None, Rate 9000) ])
       Faultsim.Worker_crash 200
   in
-  Alcotest.(check (list bool)) "appended rule leaves the first stream intact" a b
+  Alcotest.(check (list bool)) "appended rule leaves the first stream intact" a b;
+  (* Pinned rate schedules: interleaved probes of two rules (worker
+     crashes keyed [i mod 7], which rate rules ignore), and a
+     one-basis-point rule over 5,000 probes. A change to a rule's
+     private stream shows up here as moved hits. *)
+  List.iter
+    (fun (spec, seed, want_crash, want_io) ->
+      match Faultsim.of_spec ~seed spec with
+      | Error e -> Alcotest.failf "%s rejected: %s" spec e
+      | Ok fs ->
+        let io = ref [] in
+        let crash =
+          hit_indices 200 (fun i ->
+              let c = Faultsim.fire ~key:(i mod 7) fs Faultsim.Worker_crash in
+              if Faultsim.fire fs Faultsim.Io_error then io := i :: !io;
+              c)
+        in
+        let what = Printf.sprintf "%s at seed %d" spec seed in
+        Alcotest.(check (list int)) (what ^ ": worker_crash") want_crash crash;
+        Alcotest.(check (list int)) (what ^ ": io_error") want_io (List.rev !io))
+    [ ( "worker_crash=0.05,io_error=0.02",
+        0,
+        [ 25; 34; 51; 83; 89; 120; 134; 138; 143; 172; 200 ],
+        [ 10; 25; 59; 89; 179 ] );
+      ( "worker_crash=0.05,io_error=0.02",
+        7,
+        [ 22; 27; 90; 95; 98; 121; 139 ],
+        [ 55; 97; 113; 155; 167; 175 ] ) ];
+  (match Faultsim.of_spec ~seed:3 "io_error=0.0001" with
+   | Error e -> Alcotest.failf "one basis point rejected: %s" e
+   | Ok fs ->
+     Alcotest.(check (list int)) "io_error=0.0001 at seed 3" [ 2589; 2634; 4719; 4978 ]
+       (hit_indices 5000 (fun _ -> Faultsim.fire fs Faultsim.Io_error)));
+  (* One spec may mix both entry forms, and mixing moves nothing: the
+     [:?] draws and the rate streams come from separate streams over
+     the seed, so each row matches the pinned one-form rows above. *)
+  List.iter
+    (fun (spec, seed, want_step, want_crash, want_io) ->
+      match Faultsim.of_spec ~seed spec with
+      | Error e -> Alcotest.failf "%s rejected: %s" spec e
+      | Ok fs ->
+        let step = ref [] and io = ref [] in
+        let crash =
+          hit_indices 200 (fun i ->
+              if Faultsim.fire fs Faultsim.Machine_step_limit then step := i :: !step;
+              let c = Faultsim.fire ~key:(i mod 7) fs Faultsim.Worker_crash in
+              if Faultsim.fire fs Faultsim.Io_error then io := i :: !io;
+              c)
+        in
+        let what = Printf.sprintf "%s at seed %d" spec seed in
+        Alcotest.(check (list int)) (what ^ ": machine_step_limit") want_step (List.rev !step);
+        Alcotest.(check (list int)) (what ^ ": worker_crash") want_crash crash;
+        Alcotest.(check (list int)) (what ^ ": io_error") want_io (List.rev !io))
+    [ ( "machine_step_limit:?,worker_crash=0.05,io_error=0.02",
+        7,
+        [ 6 ],
+        [ 22; 27; 90; 95; 98; 121; 139 ],
+        [ 55; 97; 113; 155; 167; 175 ] );
+      ( "worker_crash=0.05,machine_step_limit:?,io_error=0.02",
+        0,
+        [ 4 ],
+        [ 25; 34; 51; 83; 89; 120; 134; 138; 143; 172; 200 ],
+        [ 10; 25; 59; 89; 179 ] ) ];
+  (* A one-shot and a rate rule on the same point: both fire, and the
+     rate rule draws as it does alone. *)
+  let io_hits spec =
+    match Faultsim.of_spec spec with
+    | Error e -> Alcotest.failf "%s rejected: %s" spec e
+    | Ok fs -> hit_indices 200 (fun _ -> Faultsim.fire fs Faultsim.Io_error)
+  in
+  Alcotest.(check (list int)) "io_error:3,io_error=0.02"
+    (List.sort_uniq compare (3 :: io_hits "io_error=0.02"))
+    (io_hits "io_error:3,io_error=0.02")
 
 let test_chaos_semantics () =
   (* Chaos rules ignore probe keys: every probe of the point is one
      Bernoulli draw, whichever slice or worker probes. *)
-  let fs = Faultsim.chaos ~seed:1 [ (Faultsim.Io_error, 10000) ] in
+  let fs = Faultsim.make ~seed:1 [ (Faultsim.Io_error, None, Rate 10000) ] in
   Alcotest.(check bool) "rate 1.0 fires unkeyed" true (Faultsim.fire fs Faultsim.Io_error);
   Alcotest.(check bool) "rate 1.0 fires keyed" true
     (Faultsim.fire ~key:7 fs Faultsim.Io_error);
@@ -118,30 +223,42 @@ let test_chaos_semantics () =
   Alcotest.(check bool) "other points untouched" false
     (Faultsim.fire fs Faultsim.Worker_crash);
   Alcotest.check_raises "rate 0 rejected"
-    (Invalid_argument "Faultsim.chaos: rate must be in 1..10000 basis points") (fun () ->
-      ignore (Faultsim.chaos [ (Faultsim.Io_error, 0) ]));
+    (Invalid_argument "Faultsim.make: rate must be in 1..10000 basis points") (fun () ->
+      ignore (Faultsim.make [ (Faultsim.Io_error, None, Rate 0) ]));
   Alcotest.check_raises "rate > 1 rejected"
-    (Invalid_argument "Faultsim.chaos: rate must be in 1..10000 basis points") (fun () ->
-      ignore (Faultsim.chaos [ (Faultsim.Io_error, 10001) ]))
+    (Invalid_argument "Faultsim.make: rate must be in 1..10000 basis points") (fun () ->
+      ignore (Faultsim.make [ (Faultsim.Io_error, None, Rate 10001) ]))
 
 let test_chaos_spec () =
-  (match Faultsim.chaos_of_spec ~seed:3 "worker_crash=0.05, io_error=1" with
+  (match Faultsim.of_spec ~seed:3 "worker_crash=0.05, io_error=1" with
    | Error e -> Alcotest.failf "spec rejected: %s" e
    | Ok fs ->
      Alcotest.(check bool) "plan is on" true (Faultsim.is_on fs);
      Alcotest.(check bool) "rate-1 rule fires" true (Faultsim.fire fs Faultsim.Io_error));
+  (* Without [=RATE] an entry is a one-shot rule, firing once. *)
+  (match Faultsim.of_spec "worker_crash" with
+   | Error e -> Alcotest.failf "one-shot entry rejected: %s" e
+   | Ok fs ->
+     Alcotest.(check (list bool)) "bare point fires on its first occurrence, once"
+       [ true; false; false ]
+       (fire_seq fs Faultsim.Worker_crash 3));
+  (* Half a basis point rounds up to the finest grain. *)
+  (match Faultsim.of_spec "io_error=0.00005" with
+   | Error e -> Alcotest.failf "rate rounding to one basis point rejected: %s" e
+   | Ok _ -> ());
   List.iter
     (fun (spec, what) ->
-      match Faultsim.chaos_of_spec spec with
+      match Faultsim.of_spec spec with
       | Ok _ -> Alcotest.failf "%s accepted: %S" what spec
       | Error _ -> ())
     [ ("", "empty spec");
-      ("worker_crash", "missing rate");
+      ("worker_crash=", "missing rate");
       ("no_such_point=0.5", "unknown point");
       ("worker_crash=0", "zero rate");
       ("worker_crash=1.5", "rate above 1");
       ("worker_crash=-0.1", "negative rate");
       ("worker_crash=0.00001", "rate below one basis point");
+      ("worker_crash=0.00004", "rate rounding to zero basis points");
       ("worker_crash=lots", "non-numeric rate") ]
 
 (* ---- solver circuit breaker ------------------------------------------------- *)
@@ -192,7 +309,8 @@ let test_breaker_under_forced_overruns () =
     prepare ("int hit;\nvoid g(int x) { if (x == 5) { hit = 1; } else { hit = 0; } }", "g")
   in
   let forced_overruns () =
-    Faultsim.make (List.init 40 (fun i -> (Faultsim.Solver_deadline, None, i + 1)))
+    Faultsim.make
+      (List.init 40 (fun i -> (Faultsim.Solver_deadline, None, Faultsim.Nth (i + 1))))
   in
   let run ~use_breaker =
     let options =
@@ -294,7 +412,7 @@ let test_step_limit_is_not_a_bug () =
   let prog = prepare Workloads.Paper_examples.ac_controller in
   let options =
     Dart.Driver.Options.make ~depth:1 ~max_runs:50 ~stop_on_first_bug:false
-      ~faultsim:(Faultsim.make [ (Faultsim.Machine_step_limit, None, 1) ])
+      ~faultsim:(Faultsim.make [ (Faultsim.Machine_step_limit, None, Nth 1) ])
       ()
   in
   let r = Dart.Driver.run ~options prog in
@@ -316,7 +434,7 @@ let test_forced_unknown_is_retriable () =
   let sink = Dart.Telemetry.ring ~capacity:4096 in
   let options =
     Dart.Driver.Options.make ~seed:3 ~max_runs:100 ~use_cache:true
-      ~faultsim:(Faultsim.make [ (Faultsim.Solver_deadline, None, 1) ])
+      ~faultsim:(Faultsim.make [ (Faultsim.Solver_deadline, None, Nth 1) ])
       ~telemetry:(Dart.Telemetry.with_sink sink) ()
   in
   let r = Dart.Driver.run ~options prog in
