@@ -166,7 +166,48 @@ let read_fixture name =
 let test_fixture (name, actual) () =
   Alcotest.(check string) (name ^ " bytes") (read_fixture name) actual
 
+(* The trace views, pinned at the command line: [trace-stats], [profile]
+   at the default and at [--top 1], and [cover --timeline], each over
+   trace.jsonl (one event of every kind) and trace_campaign.jsonl (a
+   campaign-shaped trace whose solver sites and targets tie on time). *)
+let view_fixtures =
+  List.concat_map
+    (fun trace ->
+      let path = Filename.concat "golden" (trace ^ ".jsonl") in
+      [ (trace ^ "_stats.txt", [ "trace-stats"; path ]);
+        (trace ^ "_profile.txt", [ "profile"; path ]);
+        (trace ^ "_profile_top1.txt", [ "profile"; "--top"; "1"; path ]);
+        ( trace ^ "_timeline.txt",
+          [ "cover"; "../examples/osip_library.mc"; "-t"; "osip_message_get_status_2";
+            "--from-trace"; path; "--timeline" ] ) ])
+    [ "trace"; "trace_campaign" ]
+
+(* Stdout of the built dartc on [args]; fails the test on a nonzero
+   exit. *)
+let dartc_stdout args =
+  let exe = Filename.concat (Sys.getcwd ()) "../bin/dartc.exe" in
+  let out = Filename.temp_file "dart_golden" ".out" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+    (fun () ->
+      let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin fd Unix.stderr in
+      Unix.close fd;
+      (match Unix.waitpid [] pid with
+       | _, Unix.WEXITED 0 -> ()
+       | _ -> Alcotest.failf "dartc %s failed" (String.concat " " args));
+      let ic = open_in_bin out in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> really_input_string ic (in_channel_length ic)))
+
+let test_view (name, args) () =
+  Alcotest.(check string) (name ^ " bytes") (read_fixture name) (dartc_stdout args)
+
 let suite =
   List.map
     (fun ((name, _) as fx) -> Alcotest.test_case ("golden " ^ name) `Quick (test_fixture fx))
     (rendered ())
+  @ List.map
+      (fun ((name, _) as fx) -> Alcotest.test_case ("golden " ^ name) `Quick (test_view fx))
+      view_fixtures
