@@ -249,6 +249,26 @@ let usage_error msg =
   Printf.eprintf "dartc: %s\n" msg;
   2
 
+exception Malformed of string
+
+(* The one exception -> exit 2 mapping behind every subcommand. [cmd]
+   names the subcommand in a malformed-trace message. *)
+let exit_2_on_error ~cmd f =
+  try f () with
+  | Minic.Lexer.Error (loc, msg) | Minic.Parser.Error (loc, msg)
+  | Minic.Typecheck.Error (loc, msg) ->
+    Printf.eprintf "%s: error: %s\n" (Minic.Loc.to_string loc) msg;
+    2
+  | Dart.Driver_gen.No_toplevel name ->
+    Printf.eprintf "error: no function named %s with a body\n" name;
+    2
+  | Malformed msg ->
+    Printf.eprintf "%s: %s\n" cmd msg;
+    2
+  | Sys_error msg ->
+    Printf.eprintf "error: %s\n" msg;
+    2
+
 (* Conflicting-flag validation, as one declarative table: first row
    whose predicate fires wins, its message goes out with exit 2. Add
    new conflicts here, not as ad-hoc if/else chains in the driver. *)
@@ -338,7 +358,7 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
     jobs portfolio no_cache no_slicing no_breaker no_compile time_budget solver_timeout
     checkpoint checkpoint_every resume faultsim faultsim_seed trace status metrics_flag
     show_interface show_driver dump_ram coverage =
-  try
+  exit_2_on_error ~cmd:"dartc" @@ fun () ->
     let src = Dart_util.Persist.read_file file in
     let ast = Minic.Parser.parse_program ~file src in
     match
@@ -483,21 +503,8 @@ let run_dartc file toplevel depth max_runs seed strategy random_mode symbolic_pt
               Dart.Engine.exit_code outcome
           end
       end
-  with
-  | Minic.Lexer.Error (loc, msg) | Minic.Parser.Error (loc, msg)
-  | Minic.Typecheck.Error (loc, msg) ->
-    Printf.eprintf "%s: error: %s\n" (Minic.Loc.to_string loc) msg;
-    2
-  | Dart.Driver_gen.No_toplevel name ->
-    Printf.eprintf "error: no function named %s with a body\n" name;
-    2
-  | Sys_error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    2
 
 (* ---- trace-stats ----------------------------------------------------------------- *)
-
-exception Malformed of string
 
 let trace_file_arg =
   Arg.(
@@ -526,19 +533,14 @@ let read_trace_events file =
        with End_of_file -> ());
       List.rev !events)
 
-let run_trace_stats file =
-  try
-    print_string
-      (Dart.Telemetry.summary_to_string
-         (Dart.Telemetry.summarize (read_trace_events file)));
-    0
-  with
-  | Malformed msg ->
-    Printf.eprintf "dartc trace-stats: %s\n" msg;
-    2
-  | Sys_error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    2
+(* [dartc trace-stats] and [dartc profile]: read the trace, fold it
+   into one summary, render it. *)
+let render_trace ~cmd render file =
+  exit_2_on_error ~cmd @@ fun () ->
+  print_string (render (Dart.Telemetry.summarize (read_trace_events file)));
+  0
+
+let run_trace_stats = render_trace ~cmd:"dartc trace-stats" Dart.Telemetry.summary_to_string
 
 (* ---- cover ----------------------------------------------------------------------- *)
 
@@ -618,17 +620,16 @@ let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out htm
     timeline =
   if depth < 1 then usage_error "--depth must be positive"
   else
-  try
+  exit_2_on_error ~cmd:"dartc cover" @@ fun () ->
     let src = Dart_util.Persist.read_file file in
     let ast = Minic.Parser.parse_program ~file src in
     let prog = Dart.Driver.prepare ~toplevel ~depth ast in
-    let events, covered =
+    let summary, covered =
       match from_trace with
       | Some trace ->
         (* A recorded trace carries both the per-site directions (from
            Branch_taken, user sites only) and the cover-point curve. *)
-        let events = read_trace_events trace in
-        let summary = Dart.Telemetry.summarize events in
+        let summary = Dart.Telemetry.summarize (read_trace_events trace) in
         let covered =
           List.concat_map
             (fun ((fn, pc), (taken, fall)) ->
@@ -643,7 +644,7 @@ let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out htm
           prerr_endline
             "dartc cover: warning: trace has no per-site branch events (recorded with \
              --random-testing?); only --timeline reflects its coverage";
-        (events, covered)
+        (summary, covered)
       | None ->
         install_signal_handlers ();
         let sink = Dart.Telemetry.ring ~capacity:(1 lsl 20) in
@@ -653,7 +654,8 @@ let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out htm
         in
         let ctx = Dart.Driver.make_ctx ~seed ~max_runs () in
         let report = Dart.Driver.search ~ctx ~options prog in
-        (Dart.Telemetry.events sink, report.Dart.Driver.coverage_sites)
+        (Dart.Telemetry.summarize (Dart.Telemetry.events sink),
+         report.Dart.Driver.coverage_sites)
     in
     let t = Dart.Cover_report.compute prog ~covered in
     let explicit_output = annotate || timeline || lcov_out <> None || html_out <> None in
@@ -670,22 +672,8 @@ let run_cover file toplevel depth max_runs seed from_trace annotate lcov_out htm
         Dart_util.Persist.write_atomic ~path (Dart.Cover_report.to_html t ~source:src ~title);
         Printf.eprintf "dartc cover: wrote %s\n" path)
       html_out;
-    if timeline then print_timeline (Dart.Telemetry.summarize events);
+    if timeline then print_timeline summary;
     0
-  with
-  | Minic.Lexer.Error (loc, msg) | Minic.Parser.Error (loc, msg)
-  | Minic.Typecheck.Error (loc, msg) ->
-    Printf.eprintf "%s: error: %s\n" (Minic.Loc.to_string loc) msg;
-    2
-  | Dart.Driver_gen.No_toplevel name ->
-    Printf.eprintf "error: no function named %s with a body\n" name;
-    2
-  | Malformed msg ->
-    Printf.eprintf "dartc cover: %s\n" msg;
-    2
-  | Sys_error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    2
 
 (* ---- campaign -------------------------------------------------------------------- *)
 
@@ -831,7 +819,7 @@ let no_breaker_campaign_arg =
 
 let validate_campaign ~depth ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_runs
     ~time_budget ~solver_timeout ~list_only ~checkpoint ~resume ~resume_salvage ~json
-    ~lcov ~html ~trace ~status =
+    ~lcov ~html ~trace ~status ~chaos =
   let table =
     [ (depth < 1, "--depth must be positive");
       (jobs < 0 || jobs > Dart.Parallel.max_jobs, jobs_range_msg);
@@ -846,9 +834,9 @@ let validate_campaign ~depth ~jobs ~per_function_runs ~retire_after ~retry_limit
         "--solver-timeout must be positive" );
       ( list_only
         && (checkpoint <> None || resume <> None || json <> None || lcov <> None
-           || html <> None || trace <> None || status <> None),
-        "--list only discovers targets; it conflicts with --checkpoint/--resume and the \
-         report outputs" ) ]
+           || html <> None || trace <> None || status <> None || chaos <> None),
+        "--list only discovers targets; it conflicts with --checkpoint/--resume, --chaos \
+         and the report outputs" ) ]
   in
   List.find_opt fst table |> Option.map snd
 
@@ -863,134 +851,112 @@ let write_file_with_note ~fault ~what path content =
   with Sys_error msg ->
     Printf.eprintf "dartc campaign: warning: could not write %s: %s\n" what msg
 
-exception Chaos_oracle_violation
-
 let run_campaign file jobs seed depth max_runs per_function_runs retire_after retry_limit
     priority all_bugs time_budget solver_timeout json lcov html checkpoint resume
     resume_salvage chaos chaos_seed no_breaker trace status list_only =
-  try
-    let src = Dart_util.Persist.read_file file in
-    match
-      validate_campaign ~depth ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_runs
-        ~time_budget ~solver_timeout ~list_only ~checkpoint ~resume ~resume_salvage ~json
-        ~lcov ~html ~trace ~status
-    with
-    | Some msg -> usage_error msg
-    | None ->
-      if list_only then begin
-        let ast = Minic.Parser.parse_program ~file src in
-        let targets, skipped = Dart.Campaign.discover ast in
-        List.iter print_endline targets;
-        List.iter
-          (fun (name, reason) ->
-            Printf.eprintf "dartc campaign: skipped %s: %s\n" name reason)
-          skipped;
-        if targets = [] then usage_error "no testable targets discovered" else 0
-      end
-      else begin
-        match fault_plan ~flag:"--chaos" ~seed:chaos_seed chaos with
-        | Error msg -> usage_error msg
-        | Ok fault ->
-        with_trace_sink trace @@ fun sink ->
-        install_signal_handlers ();
-        let options =
-          Dart.Driver.Options.make ~seed ~depth ~max_runs ~per_function_runs
-            ~retire_after ~retry_limit ~priority ~stop_on_first_bug:(not all_bugs)
-            ~use_breaker:(not no_breaker)
-            ?solver_deadline_ns:(Option.map ns_of_ms solver_timeout)
-            ~telemetry:
-              { (Dart.Telemetry.with_sink sink) with
-                Dart.Telemetry.status_path = status }
-            ~faultsim:fault ()
-        in
-        match
-          Dart.Campaign.run ~jobs ~options
-            ?time_budget_ns:(Option.map ns_of_seconds time_budget) ?checkpoint ?resume
-            ~salvage:resume_salvage ~file
-            ~progress:(fun line -> Printf.eprintf "dartc campaign: %s\n%!" line)
-            src
-        with
-        | Error msg -> usage_error msg
-        | Ok report ->
-          (* Chaos oracle: whatever was injected, the ledger must
-             balance — a fault may quarantine a target but can never
-             lose one. A violation is a harness bug, reported loudly. *)
-          if chaos <> None && not (Dart.Campaign.no_lost_targets report) then begin
-            Printf.eprintf
-              "dartc campaign: CHAOS ORACLE VIOLATION: a discovered target is missing \
-               from the results/skipped/unfinished ledger\n";
-            raise Chaos_oracle_violation
-          end;
-          print_string (Dart.Campaign.report_to_string report);
-          Option.iter
-            (fun path ->
-              write_file_with_note ~fault ~what:"JSON" path (Dart.Campaign.to_json report))
-            json;
-          if lcov <> None || html <> None then begin
-            (* Any one prepared program of the library carries every
-               non-driver function, so the first target's program is the
-               site universe for the aggregate view. *)
-            match report.Dart.Campaign.cam_targets with
-            | [] -> ()
-            | first :: _ ->
-              let ast = Minic.Parser.parse_program ~file src in
-              let prog = Dart.Driver.prepare ~toplevel:first ~depth ast in
-              let t =
-                Dart.Cover_report.compute prog
-                  ~covered:(Dart.Campaign.aggregate_sites report)
-              in
-              Option.iter
-                (fun path ->
-                  write_file_with_note ~fault ~what:"lcov" path
-                    (Dart.Cover_report.to_lcov t))
-                lcov;
-              Option.iter
-                (fun path ->
-                  let title =
-                    Printf.sprintf "%s \u{2014} campaign" (Filename.basename file)
-                  in
-                  (* The per-target time/outcome heatmap: cumulative
-                     slice wall clock from cam_times, outcome and run
-                     count joined from the finished results (a target
-                     the campaign stopped before retiring shows as
-                     "unfinished"). *)
-                  let heatmap =
-                    Dart.Cover_report.campaign_heatmap
-                      (List.map
-                         (fun (name, ns) ->
-                           match
-                             List.find_opt
-                               (fun (r : Dart.Campaign.target_result) ->
-                                 r.Dart.Campaign.tr_name = name)
-                               report.Dart.Campaign.cam_results
-                           with
-                           | Some r ->
-                             ( name,
-                               Dart.Campaign.retire_tag r.Dart.Campaign.tr_retired,
-                               ns,
-                               r.Dart.Campaign.tr_runs,
-                               r.Dart.Campaign.tr_overruns )
-                           | None -> (name, "unfinished", ns, 0, 0))
-                         report.Dart.Campaign.cam_times)
-                  in
-                  write_file_with_note ~fault ~what:"HTML" path
-                    (Dart.Cover_report.to_html ~extra:heatmap t ~source:src ~title))
-                html
-          end;
-          (match report.Dart.Campaign.cam_status with
-           | Dart.Campaign.Stopped_early _ -> 3
-           | Dart.Campaign.Finished ->
-             if report.Dart.Campaign.cam_crashes <> [] then 1 else 0)
-      end
+  exit_2_on_error ~cmd:"dartc campaign" @@ fun () ->
+  let src = Dart_util.Persist.read_file file in
+  match
+    validate_campaign ~depth ~jobs ~per_function_runs ~retire_after ~retry_limit ~max_runs
+      ~time_budget ~solver_timeout ~list_only ~checkpoint ~resume ~resume_salvage ~json ~lcov
+      ~html ~trace ~status ~chaos
   with
-  | Minic.Lexer.Error (loc, msg) | Minic.Parser.Error (loc, msg)
-  | Minic.Typecheck.Error (loc, msg) ->
-    Printf.eprintf "%s: error: %s\n" (Minic.Loc.to_string loc) msg;
-    2
-  | Chaos_oracle_violation -> 2
-  | Sys_error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    2
+  | Some msg -> usage_error msg
+  | None -> (
+    match fault_plan ~flag:"--chaos" ~seed:chaos_seed chaos with
+    | Error msg -> usage_error msg
+    | Ok _ when list_only ->
+      let ast = Minic.Parser.parse_program ~file src in
+      let targets, skipped = Dart.Campaign.discover ast in
+      List.iter print_endline targets;
+      List.iter
+        (fun (name, reason) -> Printf.eprintf "dartc campaign: skipped %s: %s\n" name reason)
+        skipped;
+      if targets = [] then usage_error "no testable targets discovered" else 0
+    | Ok fault -> (
+      with_trace_sink trace @@ fun sink ->
+      install_signal_handlers ();
+      let options =
+        Dart.Driver.Options.make ~seed ~depth ~max_runs ~per_function_runs ~retire_after
+          ~retry_limit ~priority ~stop_on_first_bug:(not all_bugs)
+          ~use_breaker:(not no_breaker)
+          ?solver_deadline_ns:(Option.map ns_of_ms solver_timeout)
+          ~telemetry:
+            { (Dart.Telemetry.with_sink sink) with Dart.Telemetry.status_path = status }
+          ~faultsim:fault ()
+      in
+      match
+        Dart.Campaign.run ~jobs ~options
+          ?time_budget_ns:(Option.map ns_of_seconds time_budget) ?checkpoint ?resume
+          ~salvage:resume_salvage ~file
+          ~progress:(fun line -> Printf.eprintf "dartc campaign: %s\n%!" line)
+          src
+      with
+      | Error msg -> usage_error msg
+      | Ok report when chaos <> None && not (Dart.Campaign.no_lost_targets report) ->
+        (* Chaos oracle: whatever was injected, the ledger must balance
+           — a fault may quarantine a target but can never lose one. A
+           violation is a harness bug, reported loudly. *)
+        Printf.eprintf
+          "dartc campaign: CHAOS ORACLE VIOLATION: a discovered target is missing from \
+           the results/skipped/unfinished ledger\n";
+        2
+      | Ok report ->
+        print_string (Dart.Campaign.report_to_string report);
+        Option.iter
+          (fun path ->
+            write_file_with_note ~fault ~what:"JSON" path (Dart.Campaign.to_json report))
+          json;
+        if lcov <> None || html <> None then begin
+          (* Any one prepared program of the library carries every
+             non-driver function, so the first target's program is the
+             site universe for the aggregate view. *)
+          match report.Dart.Campaign.cam_targets with
+          | [] -> ()
+          | first :: _ ->
+            let ast = Minic.Parser.parse_program ~file src in
+            let prog = Dart.Driver.prepare ~toplevel:first ~depth ast in
+            let t =
+              Dart.Cover_report.compute prog ~covered:(Dart.Campaign.aggregate_sites report)
+            in
+            Option.iter
+              (fun path ->
+                write_file_with_note ~fault ~what:"lcov" path (Dart.Cover_report.to_lcov t))
+              lcov;
+            Option.iter
+              (fun path ->
+                let title = Printf.sprintf "%s \u{2014} campaign" (Filename.basename file) in
+                (* The per-target time/outcome heatmap: cumulative slice
+                   wall clock from cam_times, outcome and run count
+                   joined from the finished results (a target the
+                   campaign stopped before retiring shows as
+                   "unfinished"). *)
+                let heatmap =
+                  Dart.Cover_report.campaign_heatmap
+                    (List.map
+                       (fun (name, ns) ->
+                         match
+                           List.find_opt
+                             (fun (r : Dart.Campaign.target_result) ->
+                               r.Dart.Campaign.tr_name = name)
+                             report.Dart.Campaign.cam_results
+                         with
+                         | Some r ->
+                           ( name,
+                             Dart.Campaign.retire_tag r.Dart.Campaign.tr_retired,
+                             ns,
+                             r.Dart.Campaign.tr_runs,
+                             r.Dart.Campaign.tr_overruns )
+                         | None -> (name, "unfinished", ns, 0, 0))
+                       report.Dart.Campaign.cam_times)
+                in
+                write_file_with_note ~fault ~what:"HTML" path
+                  (Dart.Cover_report.to_html ~extra:heatmap t ~source:src ~title))
+              html
+        end;
+        (match report.Dart.Campaign.cam_status with
+         | Dart.Campaign.Stopped_early _ -> 3
+         | Dart.Campaign.Finished -> if report.Dart.Campaign.cam_crashes <> [] then 1 else 0)))
 
 let campaign_cmd =
   let doc =
@@ -1077,20 +1043,8 @@ let profile_top_arg =
         ~doc:"How many hottest solver sites to list (default 10).")
 
 let run_profile file top =
-  try
-    if top <= 0 then usage_error "--top must be positive"
-    else begin
-      let events = read_trace_events file in
-      print_string (Dart.Profile.to_string ~top (Dart.Profile.of_events events));
-      0
-    end
-  with
-  | Malformed msg ->
-    Printf.eprintf "dartc profile: %s\n" msg;
-    2
-  | Sys_error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    2
+  if top <= 0 then usage_error "--top must be positive"
+  else render_trace ~cmd:"dartc profile" (Dart.Profile.to_string ~top) file
 
 let watch_cmd =
   let doc = "render a live status snapshot maintained with --status" in

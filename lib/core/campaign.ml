@@ -66,17 +66,6 @@ let discover (ast : Minic.Ast.program) =
     ast;
   (List.rev !targets, List.rev !skipped)
 
-(* ---- frontier signal ------------------------------------------------------------- *)
-
-let frontier_count sites =
-  let tbl : (string * int, bool * bool) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (fn, pc, dir) ->
-      let taken, fall = Option.value ~default:(false, false) (Hashtbl.find_opt tbl (fn, pc)) in
-      Hashtbl.replace tbl (fn, pc) (taken || dir, fall || not dir))
-    sites;
-  Hashtbl.fold (fun _ (taken, fall) acc -> if taken <> fall then acc + 1 else acc) tbl 0
-
 (* ---- checkpoint codec ------------------------------------------------------------ *)
 
 module L = Dart_util.Persist.Lines
@@ -720,7 +709,7 @@ let run ?(jobs = 1) ?(options = Driver.Options.default) ?time_budget_ns ?checkpo
             if covered > st.st_covered then st.st_stale <- 0
             else st.st_stale <- st.st_stale + 1;
             st.st_covered <- covered;
-            st.st_frontier <- frontier_count r.Driver.coverage_sites;
+            st.st_frontier <- Coverage.frontier_count r.Driver.coverage_sites;
             let retired = ref None in
             let retire reason =
               retired := Some reason;

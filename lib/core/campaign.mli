@@ -105,10 +105,6 @@ val discover : Minic.Ast.program -> string list * (string * string) list
 (** [(targets, skipped)]: testable functions and the (name, reason)
     pairs rejected, both in declaration order. *)
 
-val frontier_count : (string * int * bool) list -> int
-(** Sites with exactly one direction in the list — the priority signal
-    {!run} feeds from each slice's coverage. *)
-
 val run :
   ?jobs:int ->
   ?options:Driver.options ->

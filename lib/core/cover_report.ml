@@ -1,9 +1,10 @@
 (* Source-level coverage explorer: per-site direction status mapped
    back to MiniC source lines, rendered as an annotated listing, an
    lcov tracefile and a single-file HTML report. See cover_report.mli
-   for the contract; the one invariant every renderer must keep is
-   that its totals are the [Coverage.compute] totals — the reports
-   are views of the same data, never a recount. *)
+   for the contract. The sites come from [Coverage.sites], the walk
+   [Coverage.compute] runs, and the per-function totals are read off
+   this module's site list with [Coverage.of_sites] — the reports are
+   views of the same data, never a recount. *)
 
 type status =
   | Full
@@ -29,42 +30,18 @@ let status_of_dirs = function
   | false, true -> Fall_only
   | false, false -> Unreached
 
-let compute (prog : Ram.Instr.program) ~covered =
-  let by_site : (string * int, bool * bool) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (fn, pc, dir) ->
-      let taken, fallthrough =
-        Option.value ~default:(false, false) (Hashtbl.find_opt by_site (fn, pc))
-      in
-      Hashtbl.replace by_site (fn, pc)
-        (if dir then (true, fallthrough) else (taken, true)))
-    covered;
+let dirs_of_status = function
+  | Full -> (true, true)
+  | Taken_only -> (true, false)
+  | Fall_only -> (false, true)
+  | Unreached -> (false, false)
+
+let compute prog ~covered =
   let sites =
-    Hashtbl.fold
-      (fun name (f : Ram.Instr.func) acc ->
-        if Coverage.is_driver_function name then acc
-        else begin
-          let acc = ref acc in
-          Array.iteri
-            (fun pc instr ->
-              match instr with
-              | Ram.Instr.Iif _ ->
-                let loc =
-                  if pc < Array.length f.Ram.Instr.locs then f.Ram.Instr.locs.(pc)
-                  else Minic.Loc.dummy
-                in
-                let dirs =
-                  Option.value ~default:(false, false)
-                    (Hashtbl.find_opt by_site (name, pc))
-                in
-                acc :=
-                  { cs_fn = name; cs_pc = pc; cs_loc = loc; cs_status = status_of_dirs dirs }
-                  :: !acc
-              | _ -> ())
-            f.Ram.Instr.code;
-          !acc
-        end)
-      prog.Ram.Instr.funcs []
+    List.map
+      (fun (fn, pc, loc, dirs) ->
+        { cs_fn = fn; cs_pc = pc; cs_loc = loc; cs_status = status_of_dirs dirs })
+      (Coverage.sites prog ~covered)
     |> List.sort (fun a b ->
            compare
              (a.cs_loc.Minic.Loc.file, a.cs_loc.Minic.Loc.line, a.cs_loc.Minic.Loc.col,
@@ -72,7 +49,9 @@ let compute (prog : Ram.Instr.program) ~covered =
              (b.cs_loc.Minic.Loc.file, b.cs_loc.Minic.Loc.line, b.cs_loc.Minic.Loc.col,
               b.cs_fn, b.cs_pc))
   in
-  { sites; coverage = Coverage.compute prog ~covered }
+  { sites;
+    coverage =
+      Coverage.of_sites (List.map (fun s -> (s.cs_fn, dirs_of_status s.cs_status)) sites) }
 
 let frontier t =
   List.filter (fun s -> s.cs_status = Taken_only || s.cs_status = Fall_only) t.sites
@@ -170,12 +149,6 @@ let annotate t ~source =
   Buffer.contents buf
 
 (* ---- lcov export ------------------------------------------------------------- *)
-
-let dirs_of_status = function
-  | Full -> (true, true)
-  | Taken_only -> (true, false)
-  | Fall_only -> (false, true)
-  | Unreached -> (false, false)
 
 let covered_at_all s = s.cs_status <> Unreached
 
@@ -439,17 +412,15 @@ let to_html ?(extra = "") t ~source ~title =
        <th>possible</th><th>sites fully covered</th><th>%%</th></tr>\n";
   List.iter
     (fun (e : Coverage.entry) ->
-      if e.Coverage.cov_sites > 0 then begin
-        let fpct =
-          100.0 *. float_of_int e.Coverage.cov_directions
-          /. float_of_int (2 * e.Coverage.cov_sites)
-        in
-        add
-          "<tr><td>%s</td><td class=\"num\">%d</td><td class=\"num\">%d</td>\
-           <td class=\"num\">%d</td><td class=\"num\">%.1f</td></tr>\n"
-          (html_escape e.Coverage.cov_fn) e.Coverage.cov_directions
-          (2 * e.Coverage.cov_sites) e.Coverage.cov_full fpct
-      end)
+      let fpct =
+        100.0 *. float_of_int e.Coverage.cov_directions
+        /. float_of_int (2 * e.Coverage.cov_sites)
+      in
+      add
+        "<tr><td>%s</td><td class=\"num\">%d</td><td class=\"num\">%d</td>\
+         <td class=\"num\">%d</td><td class=\"num\">%.1f</td></tr>\n"
+        (html_escape e.Coverage.cov_fn) e.Coverage.cov_directions
+        (2 * e.Coverage.cov_sites) e.Coverage.cov_full fpct)
     cov.Coverage.entries;
   add "</table>\n";
   add "<h2>annotated source</h2>\n";

@@ -2,9 +2,9 @@
 
     {!Coverage} answers "how much" (per-function direction counts);
     this module answers "where" and "why": every [Iif] branch site of
-    the program under test is mapped through the lowering's [locs]
-    table back to its MiniC source line and classified per direction,
-    from which three reports are rendered —
+    the program under test ({!Coverage.sites}, already mapped through
+    the lowering's [locs] table back to its MiniC source line) is
+    classified per direction, from which three reports are rendered —
 
     - {!annotate}: the source listing with a per-line coverage gutter,
     - {!to_lcov}: an lcov [.info] file ([BRDA]/[DA] records) for
@@ -41,15 +41,15 @@ type t = {
   sites : site list;
       (* every [Iif] site of every non-driver function, sorted by
          (file, line, column, function, pc) *)
-  coverage : Coverage.t; (* the aggregate view of the same data *)
+  coverage : Coverage.t;
+      (* the per-function totals of [sites] ({!Coverage.of_sites}) *)
 }
 
 val compute : Ram.Instr.program -> covered:(string * int * bool) list -> t
 (** [covered] is the (function, pc, direction) list a search reports
-    ({!Driver.report.coverage_sites}); driver-internal functions are
-    excluded exactly as {!Coverage.compute} excludes them, so
-    [t.coverage] totals always agree with a direct
-    {!Coverage.compute}. *)
+    ({!Driver.report.coverage_sites}). The sites are the
+    {!Coverage.sites} walk and [t.coverage] is read off them, so it
+    always equals a direct {!Coverage.compute}. *)
 
 val frontier : t -> site list
 (** Sites with exactly one direction exercised, in site order. *)

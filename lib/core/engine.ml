@@ -11,11 +11,6 @@ let effective_options session (target : Target.t) =
     | Some m -> { budget with Driver.Options.max_runs = m }
     | None -> budget
   in
-  let budget =
-    match target.Target.tg_time_budget_ns with
-    | Some t -> { budget with Driver.Options.time_budget_ns = Some t }
-    | None -> budget
-  in
   let telemetry =
     match target.Target.tg_sink with
     | None -> base.Driver.Options.telemetry

@@ -20,11 +20,10 @@ type outcome =
 
 val effective_options : Session.t -> Target.t -> Driver.options
 (** The session's base options with the target's overrides applied:
-    [tg_max_runs] replaces [budget.max_runs], [tg_time_budget_ns]
-    replaces [budget.time_budget_ns]. ([tg_depth] acts earlier, at
-    {!Session.prepare} time.) This is exactly the options record {!run}
-    searches under — campaign checkpointing derives its metadata from
-    it. *)
+    [tg_max_runs] replaces [budget.max_runs] and [tg_sink] the
+    telemetry sink. ([tg_depth] acts earlier, at {!Session.prepare}
+    time.) This is exactly the options record {!run} searches under —
+    campaign checkpointing derives its metadata from it. *)
 
 val run :
   ?mode:[ `Directed | `Random ] ->

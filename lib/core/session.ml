@@ -37,35 +37,28 @@ let depth_of t (target : Target.t) =
   | None -> t.s_options.Driver.Options.search.Driver.Options.depth
 
 let prepare ?metrics t (target : Target.t) =
-  match target.Target.tg_source with
-  | Target.Prepared prog -> prog
-  | Target.Text _ | Target.Parsed _ ->
-    let depth = depth_of t target in
-    let key = (target.Target.tg_key, target.Target.tg_toplevel, depth) in
-    (match locked t (fun () -> Hashtbl.find_opt t.s_cache key) with
-     | Some prog ->
-       locked t (fun () -> t.s_hits <- t.s_hits + 1);
-       prog
-     | None ->
-       (* Prepared outside the lock: concurrent campaign workers
-          always prepare *different* targets (a target's slices are
-          sequential), so no two domains ever race on one key — and a
-          benign double-prepare of the same key would only waste work,
-          both results being equal. *)
-       let ast =
-         match target.Target.tg_source with
-         | Target.Text { file; text } -> Minic.Parser.parse_program ?file text
-         | Target.Parsed ast -> ast
-         | Target.Prepared _ -> assert false
-       in
-       let prog =
-         Driver.prepare ?metrics ~library_sigs:target.Target.tg_library_sigs
-           ~toplevel:target.Target.tg_toplevel ~depth ast
-       in
-       locked t (fun () ->
-           t.s_prepared <- t.s_prepared + 1;
-           Hashtbl.replace t.s_cache key prog);
-       prog)
+  let depth = depth_of t target in
+  let key = (target.Target.tg_key, target.Target.tg_toplevel, depth) in
+  match locked t (fun () -> Hashtbl.find_opt t.s_cache key) with
+  | Some prog ->
+    locked t (fun () -> t.s_hits <- t.s_hits + 1);
+    prog
+  | None ->
+    (* Prepared outside the lock: concurrent campaign workers always
+       prepare *different* targets (a target's slices are sequential),
+       so no two domains ever race on one key — and a benign
+       double-prepare of the same key would only waste work, both
+       results being equal. *)
+    let ast =
+      match target.Target.tg_source with
+      | Target.Text { file; text } -> Minic.Parser.parse_program ?file text
+      | Target.Parsed ast -> ast
+    in
+    let prog = Driver.prepare ?metrics ~toplevel:target.Target.tg_toplevel ~depth ast in
+    locked t (fun () ->
+        t.s_prepared <- t.s_prepared + 1;
+        Hashtbl.replace t.s_cache key prog);
+    prog
 
 let prepared t = locked t (fun () -> t.s_prepared)
 let prepare_hits t = locked t (fun () -> t.s_hits)

@@ -1,16 +1,12 @@
 type source =
   | Text of { file : string option; text : string }
   | Parsed of Minic.Ast.program
-  | Prepared of Ram.Instr.program
 
 type t = {
   tg_source : source;
   tg_toplevel : string;
-  tg_library_sigs : Minic.Tast.fsig list;
   tg_depth : int option;
   tg_max_runs : int option;
-  tg_time_budget_ns : int64 option;
-  tg_priority : int;
   tg_sink : Telemetry.sink option;
   tg_breaker : Solver.Breaker.t option;
   tg_key : string;
@@ -19,33 +15,19 @@ type t = {
 (* Cache identity of the source. Text sources hash their bytes; parsed
    ASTs hash their marshalled form (immutable, no closures), so two
    targets over the same library AST share every prepared program the
-   session caches. Prepared programs are never cached (there is
-   nothing left to prepare), so any unique key works. *)
+   session caches. *)
 let source_key = function
   | Text { text; _ } -> "text:" ^ Digest.to_hex (Digest.string text)
   | Parsed ast -> "ast:" ^ Digest.to_hex (Digest.string (Marshal.to_string ast []))
-  | Prepared _ -> "prepared"
 
-let make ?depth ?max_runs ?time_budget_ns ?(priority = 0) ?(library_sigs = []) ?sink
-    ?breaker ~toplevel source =
+let make ?depth ?max_runs ?sink ?breaker ~toplevel source =
   { tg_source = source;
     tg_toplevel = toplevel;
-    tg_library_sigs = library_sigs;
     tg_depth = depth;
     tg_max_runs = max_runs;
-    tg_time_budget_ns = time_budget_ns;
-    tg_priority = priority;
     tg_sink = sink;
     tg_breaker = breaker;
     tg_key = source_key source }
 
 let of_text ?file ~toplevel text = make ~toplevel (Text { file; text })
 let of_ast ~toplevel ast = make ~toplevel (Parsed ast)
-let of_prepared prog = make ~toplevel:Driver_gen.wrapper_name (Prepared prog)
-
-let describe t =
-  Printf.sprintf "%s (%s)" t.tg_toplevel
-    (match t.tg_source with
-     | Text _ -> "text"
-     | Parsed _ -> "ast"
-     | Prepared _ -> "prepared")

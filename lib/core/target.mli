@@ -10,26 +10,17 @@
     re-created per entry point. *)
 
 (** The program under test, in whichever form the caller already has.
-    [Text] and [Parsed] are prepared (driver generation, typecheck,
-    lowering) through the session's compiled-program cache; [Prepared]
-    bypasses preparation entirely — the program must already contain
-    the generated driver and is entered at {!Driver_gen.wrapper_name}
-    (its [toplevel] is informational). *)
+    Both are prepared (driver generation, typecheck, lowering) through
+    the session's compiled-program cache. *)
 type source =
   | Text of { file : string option; text : string } (* MiniC source *)
   | Parsed of Minic.Ast.program
-  | Prepared of Ram.Instr.program
 
 type t = {
   tg_source : source;
   tg_toplevel : string; (* entry function under test *)
-  tg_library_sigs : Minic.Tast.fsig list;
   tg_depth : int option; (* overrides [options.search.depth] *)
   tg_max_runs : int option; (* overrides [options.budget.max_runs] *)
-  tg_time_budget_ns : int64 option; (* overrides the session time budget *)
-  tg_priority : int;
-      (* campaign scheduling hint, higher first; ignored by
-         single-shot runs *)
   tg_sink : Telemetry.sink option;
       (* overrides [options.telemetry.sink] for this target's search.
          The campaign uses private per-slice rings here so worker
@@ -47,9 +38,6 @@ type t = {
 val make :
   ?depth:int ->
   ?max_runs:int ->
-  ?time_budget_ns:int64 ->
-  ?priority:int ->
-  ?library_sigs:Minic.Tast.fsig list ->
   ?sink:Telemetry.sink ->
   ?breaker:Solver.Breaker.t ->
   toplevel:string ->
@@ -62,8 +50,3 @@ val of_text : ?file:string -> toplevel:string -> string -> t
 (** [make ~toplevel (Text …)] with no overrides. *)
 
 val of_ast : toplevel:string -> Minic.Ast.program -> t
-val of_prepared : Ram.Instr.program -> t
-(** A prepared program's entry is always {!Driver_gen.wrapper_name}. *)
-
-val describe : t -> string
-(** ["<toplevel> (text|ast|prepared)"], for logs and errors. *)

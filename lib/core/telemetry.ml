@@ -473,6 +473,13 @@ type site_agg = {
   s_ns : int64;
 }
 
+type target_agg = {
+  t_slices : int;
+  t_runs : int;
+  t_ns : int64;
+  t_retired : string option;
+}
+
 type summary = {
   total_events : int;
   runs : int;
@@ -494,6 +501,10 @@ type summary = {
   sites : ((string * int) * site_agg) list;
   timeline : cover_point list;
   site_dirs : ((string * int) * (bool * bool)) list;
+  run_hist : Hist.t;
+  solve_hist : Hist.t;
+  targets : (string * target_agg) list;
+  rounds : int;
 }
 
 and cover_point = {
@@ -505,16 +516,30 @@ and cover_point = {
 let empty_agg =
   { s_count = 0; s_sat = 0; s_unsat = 0; s_unknown = 0; s_hits = 0; s_sliced = 0; s_ns = 0L }
 
+let empty_target = { t_slices = 0; t_runs = 0; t_ns = 0L; t_retired = None }
+
 let summarize evs =
   let runs = ref 0 and branches = ref 0 and solves = ref 0 and hits = ref 0 in
   let driver_branches = ref 0 in
   let sat = ref 0 and unsat = ref 0 and unknown = ref 0 in
   let solve_ns = ref 0L and exec_ns = ref 0L in
   let inputs = ref 0 and restarts = ref 0 and bugs = ref 0 and workers = ref 0 in
-  let crashes = ref 0 in
+  let crashes = ref 0 and rounds = ref 0 in
   let phase_tbl : (phase, int64) Hashtbl.t = Hashtbl.create 4 in
   let site_tbl : (string * int, site_agg) Hashtbl.t = Hashtbl.create 32 in
-  let dir_tbl : (string * int, bool * bool) Hashtbl.t = Hashtbl.create 32 in
+  let dirs = Coverage.create () in
+  let run_hist = Hist.create () and solve_hist = Hist.create () in
+  (* Target -> (first-seen index, aggregate): ties in total time keep
+     first-seen order. *)
+  let target_tbl : (string, int * target_agg) Hashtbl.t = Hashtbl.create 32 in
+  let update_target target f =
+    let index, agg =
+      match Hashtbl.find_opt target_tbl target with
+      | Some entry -> entry
+      | None -> (Hashtbl.length target_tbl, empty_target)
+    in
+    Hashtbl.replace target_tbl target (index, f agg)
+  in
   let points = ref [] in
   let count = ref 0 in
   List.iter
@@ -522,16 +547,14 @@ let summarize evs =
       incr count;
       match ev with
       | Run_start _ -> incr runs
-      | Run_end { dur_ns; _ } -> exec_ns := Int64.add !exec_ns dur_ns
+      | Run_end { dur_ns; _ } ->
+        exec_ns := Int64.add !exec_ns dur_ns;
+        Hist.add run_hist dur_ns
       | Branch_taken { fn; pc; dir } ->
         if is_harness_site fn then incr driver_branches
         else begin
           incr branches;
-          let taken, fallthrough =
-            Option.value ~default:(false, false) (Hashtbl.find_opt dir_tbl (fn, pc))
-          in
-          Hashtbl.replace dir_tbl (fn, pc)
-            (if dir then (true, fallthrough) else (taken, true))
+          Coverage.add dirs (fn, pc, dir)
         end
       | Solve_query { fn; pc; result; dur_ns; cache_hit; sliced } ->
         incr solves;
@@ -541,6 +564,7 @@ let summarize evs =
          | R_unsat -> incr unsat
          | R_unknown -> incr unknown);
         solve_ns := Int64.add !solve_ns dur_ns;
+        Hist.add solve_hist dur_ns;
         let prev = Option.value ~default:empty_agg (Hashtbl.find_opt site_tbl (fn, pc)) in
         Hashtbl.replace site_tbl (fn, pc)
           { s_count = prev.s_count + 1;
@@ -562,9 +586,16 @@ let summarize evs =
         Hashtbl.replace phase_tbl phase (Int64.add prev dur_ns)
       | Cover_point { run; covered; elapsed_ns } ->
         points := { cp_run = run; cp_covered = covered; cp_ns = elapsed_ns } :: !points
-      | Target_scheduled _ | Slice_end _ | Target_retired _ | Round_end _ ->
-        (* Campaign-scope events: aggregated by [Profile], not here. *)
-        ()
+      | Slice_end { target; runs; dur_ns; _ } ->
+        update_target target (fun a ->
+            { a with
+              t_slices = a.t_slices + 1;
+              t_runs = a.t_runs + runs;
+              t_ns = Int64.add a.t_ns dur_ns })
+      | Target_retired { target; reason } ->
+        update_target target (fun a -> { a with t_retired = Some reason })
+      | Round_end _ -> incr rounds
+      | Target_scheduled _ -> ()
       | Breaker_open _ | Breaker_close _ ->
         (* Breaker transitions: surfaced via [Solver.stats], not here. *)
         ())
@@ -579,9 +610,11 @@ let summarize evs =
     |> List.sort (fun (sa, a) (sb, b) ->
            match Int64.compare b.s_ns a.s_ns with 0 -> compare sa sb | c -> c)
   in
-  let site_dirs =
-    Hashtbl.fold (fun site dirs acc -> (site, dirs) :: acc) dir_tbl []
-    |> List.sort compare
+  let targets =
+    Hashtbl.fold (fun name (index, agg) acc -> (index, (name, agg)) :: acc) target_tbl []
+    |> List.sort (fun (ia, (_, a)) (ib, (_, b)) ->
+           match Int64.compare b.t_ns a.t_ns with 0 -> compare ia ib | c -> c)
+    |> List.map snd
   in
   { total_events = !count;
     runs = !runs;
@@ -602,19 +635,13 @@ let summarize evs =
     phase_ns;
     sites;
     timeline = List.rev !points;
-    site_dirs }
+    site_dirs = Coverage.to_list dirs;
+    run_hist;
+    solve_hist;
+    targets;
+    rounds = !rounds }
 
 (* ---- coverage-over-time views ------------------------------------------------- *)
-
-let timeline evs =
-  List.rev
-    (List.fold_left
-       (fun acc ev ->
-         match ev with
-         | Cover_point { run; covered; elapsed_ns } ->
-           { cp_run = run; cp_covered = covered; cp_ns = elapsed_ns } :: acc
-         | _ -> acc)
-       [] evs)
 
 let plateau s =
   match s.timeline with

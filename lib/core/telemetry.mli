@@ -234,7 +234,13 @@ val latency_to_string : metrics -> string
 val emit_phase_totals : sink -> metrics -> unit
 (** One {!Phase_total} event per phase, in declaration order. *)
 
-(** {1 Trace summaries ([dartc trace-stats])} *)
+(** {1 Trace summaries}
+
+    {!summarize} is the one fold over a recorded event list: [dartc
+    trace-stats], [dartc profile] and [dartc cover --timeline] all
+    render the same {!summary}. It is a pure function of the events,
+    so a deterministic trace gives deterministic output — latency
+    histograms are rebuilt from per-event durations, not wall clock. *)
 
 type site_agg = {
   s_count : int;
@@ -244,6 +250,13 @@ type site_agg = {
   s_hits : int;
   s_sliced : int;
   s_ns : int64;
+}
+
+type target_agg = {
+  t_slices : int; (* Slice_end events *)
+  t_runs : int; (* summed Slice_end runs *)
+  t_ns : int64; (* summed slice wall clock *)
+  t_retired : string option; (* retire reason; None = never retired *)
 }
 
 type summary = {
@@ -273,10 +286,16 @@ type summary = {
   timeline : cover_point list; (* Cover_point events, trace order *)
   site_dirs : ((string * int) * (bool * bool)) list;
       (* per user branch site, (then seen, else seen) across every
-         Branch_taken event; sorted by site. The distinct-direction
-         count [2*both + one-directional] equals
-         [Driver.report.branches_covered] for a trace of the same
-         search. *)
+         Branch_taken event, from the {!Coverage} direction table;
+         sorted by site. The distinct-direction count [2*both +
+         one-directional] equals [Driver.report.branches_covered] for
+         a trace of the same search. *)
+  run_hist : Hist.t; (* Run_end durations *)
+  solve_hist : Hist.t; (* Solve_query durations *)
+  targets : (string * target_agg) list;
+      (* campaign slices per target, by total time descending, first
+         seen first on ties; empty for single-target traces *)
+  rounds : int; (* Round_end events *)
 }
 
 and cover_point = {
@@ -290,14 +309,12 @@ val summary_to_string : summary -> string
 
 (** {1 Coverage-over-time}
 
-    Derived views of the {!Cover_point} stream used by
-    [dartc cover --timeline], [dartc trace-stats] and the bench
-    trajectory artifact. In a multi-worker trace the points appear in
-    worker-replay order: each worker's segment is monotone, the
-    concatenation is not a single global curve. *)
-
-val timeline : event list -> cover_point list
-(** The Cover_point events, in trace order. *)
+    Derived views of a summary's [timeline] (the {!Cover_point}
+    stream, in trace order) used by [dartc cover --timeline], [dartc
+    trace-stats] and the bench trajectory artifact. In a multi-worker
+    trace the points appear in worker-replay order: each worker's
+    segment is monotone, the concatenation is not a single global
+    curve. *)
 
 val plateau : summary -> (int * int) option
 (** [(last_run, stale_runs)]: the run number of the last cover point

@@ -79,13 +79,14 @@ let test_zero_targets () =
 (* ---- frontier signal ------------------------------------------------------- *)
 
 let test_frontier_count () =
-  Alcotest.(check int) "empty" 0 (Campaign.frontier_count []);
+  Alcotest.(check int) "empty" 0 (Dart.Coverage.frontier_count []);
   Alcotest.(check int) "one direction = frontier" 1
-    (Campaign.frontier_count [ ("f", 0, true) ]);
+    (Dart.Coverage.frontier_count [ ("f", 0, true) ]);
   Alcotest.(check int) "both directions = full" 0
-    (Campaign.frontier_count [ ("f", 0, true); ("f", 0, false) ]);
+    (Dart.Coverage.frontier_count [ ("f", 0, true); ("f", 0, false) ]);
   Alcotest.(check int) "duplicates don't double-count" 1
-    (Campaign.frontier_count [ ("f", 0, true); ("f", 0, true); ("g", 1, true); ("g", 1, false) ])
+    (Dart.Coverage.frontier_count
+       [ ("f", 0, true); ("f", 0, true); ("g", 1, true); ("g", 1, false) ])
 
 (* ---- campaign results ------------------------------------------------------ *)
 
@@ -307,15 +308,13 @@ let test_effective_options () =
   let session = Session.create ~options:(O.make ~max_runs:500 ()) () in
   let plain = Target.of_text ~toplevel:"f" "int f(int x) { return x; }" in
   let overridden =
-    Target.make ~max_runs:7 ~time_budget_ns:123L ~toplevel:"f"
+    Target.make ~max_runs:7 ~toplevel:"f"
       (Target.Text { file = None; text = "int f(int x) { return x; }" })
   in
   Alcotest.(check int) "base budget" 500
     (Engine.effective_options session plain).O.budget.O.max_runs;
   let eff = Engine.effective_options session overridden in
-  Alcotest.(check int) "target overrides max_runs" 7 eff.O.budget.O.max_runs;
-  Alcotest.(check bool) "target overrides time budget" true
-    (eff.O.budget.O.time_budget_ns = Some 123L)
+  Alcotest.(check int) "target overrides max_runs" 7 eff.O.budget.O.max_runs
 
 let test_osip_campaign_smoke () =
   (* The checked-in example's generator, at a smaller n: the campaign

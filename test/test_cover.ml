@@ -207,9 +207,8 @@ let test_trace_timeline_replay () =
         | Error msg -> Alcotest.failf "event failed to round-trip: %s" msg)
       events
   in
-  Alcotest.(check bool) "replayed timeline identical" true
-    (T.timeline parsed = T.timeline events);
-  let s = T.summarize parsed in
+  let s = T.summarize parsed and s_live = T.summarize events in
+  Alcotest.(check bool) "replayed timeline identical" true (s.T.timeline = s_live.T.timeline);
   Alcotest.(check int) "cover point per run" r.Dart.Driver.runs (List.length s.T.timeline);
   (match T.plateau s with
    | Some (last_run, stale) ->
@@ -219,7 +218,6 @@ let test_trace_timeline_replay () =
    | None -> Alcotest.fail "trace has cover points, plateau must exist");
   (* Frontier sites from the trace agree with the site classification
      from the coverage report. *)
-  let s_live = T.summarize events in
   Alcotest.(check int) "trace dirs = report coverage" r.Dart.Driver.branches_covered
     (T.distinct_branch_dirs s_live)
 

@@ -237,7 +237,11 @@ let test_dartc_jobs_rejections () =
         "--faultsim worker_crash requires --jobs > 1" );
       ( "dartc --faultsim worker_crash=0.5 (default --jobs 1)",
         [ "SRC"; "-t"; "f"; "--faultsim"; "worker_crash=0.5" ],
-        "--faultsim worker_crash requires --jobs > 1" ) ]
+        "--faultsim worker_crash requires --jobs > 1" );
+      (* --list runs no slice, so a chaos spec would be ignored. *)
+      ( "dartc campaign --list --chaos bogus_point",
+        [ "campaign"; "SRC"; "--list"; "--chaos"; "bogus_point" ],
+        "--list only discovers targets" ) ]
 
 (* An integer literal beyond the native range is a lexical error at
    the literal, reported as [file:line:col] with exit 2, in both the
